@@ -157,6 +157,7 @@ def entry(argv=None) -> int:
     apply_thread_cap()
     args = _build_parser().parse_args(argv)
     from .config import ConfigError
+    from .fileio import FormatError
     from .tensor import NumericError
 
     try:
@@ -167,7 +168,7 @@ def entry(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
+    except (OSError, FormatError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
 

@@ -14,6 +14,7 @@ parameter and BN running statistic.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -29,6 +30,10 @@ _DTYPE_CODES = {
 }
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 MAGIC = b"CPT1"
+
+
+class FormatError(ValueError):
+    """A file's bytes do not match the format it should hold."""
 
 
 def cpt_bytes(arr: np.ndarray) -> bytes:
@@ -53,20 +58,20 @@ def write_cpt(path: str, arr: np.ndarray) -> None:
 def read_cpt(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a CPT1 file")
+    if blob[:4] != MAGIC or len(blob) < 6:
+        raise FormatError(f"{path}: not a CPT1 file")
     code, rank = blob[4], blob[5]
     if code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
+        raise FormatError(f"{path}: unknown dtype code {code}")
     dims = [
         int.from_bytes(blob[6 + 4 * i:10 + 4 * i], "little") for i in range(rank)
     ]
     off = 6 + 4 * rank
     dt = _CODE_DTYPES[code]
-    n = int(np.prod(dims)) if dims else 1
+    n = math.prod(dims)
     expect = off + n * dt.itemsize
     if len(blob) != expect:
-        raise ValueError(f"{path}: size {len(blob)} != expected {expect}")
+        raise FormatError(f"{path}: size {len(blob)} != expected {expect}")
     arr = np.frombuffer(blob, dtype=dt, count=n, offset=off)
     return arr.reshape(dims).copy()
 
@@ -135,15 +140,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
             _, name, dtype_name, shape = ln.split(" ")
             arr = read_cpt(os.path.join(path, "tensors", name + ".cpt"))
             if arr.dtype != np.dtype(dtype_name):
-                raise ValueError(f"{name}: manifest says {dtype_name}, file holds {arr.dtype}")
+                raise FormatError(f"{name}: manifest says {dtype_name}, file holds {arr.dtype}")
             want = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
             if arr.shape != want:
-                raise ValueError(f"{name}: manifest says {shape}, file holds {arr.shape}")
+                raise FormatError(f"{name}: manifest says {shape}, file holds {arr.shape}")
             tensors[name] = arr
         else:
-            raise ValueError(f"{mpath}: unrecognized line {ln!r}")
+            raise FormatError(f"{mpath}: unrecognized line {ln!r}")
     if step is None or rng_state is None:
-        raise ValueError(f"{mpath}: missing step or rng entries")
+        raise FormatError(f"{mpath}: missing step or rng entries")
     with open(os.path.join(path, "config.txt"), encoding="utf-8") as f:
         config_text = f.read()
     return tensors, step, rng_state, config_text

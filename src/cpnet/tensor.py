@@ -507,18 +507,22 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
         xp[:, :, ph:ph + h, pw:pw + wid] = x.data
     else:
         xp = x.data
-    idx = _conv_gather_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
 
     cg = cin // groups
     og = cout // groups
     k = cg * kh * kw
-    # cols: (B, Cin*oh*ow*kh*kw) gathered, arranged to (groups, B*oh*ow, cg*kh*kw)
-    cols = xp.reshape(bsz, -1)[:, idx].reshape(bsz, groups, cg, oh, ow, kh, kw)
+    # cols: strided (B, Cin, oh, ow, kh, kw) view, arranged to (groups, B, oh*ow, cg*kh*kw)
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3)
+    )[:, :, ::sh, ::sw, ::dh, ::dw][:, :, :oh, :ow]
+    cols = win.reshape(bsz, groups, cg, oh, ow, kh, kw)
     cols = np.ascontiguousarray(cols.transpose(1, 0, 3, 4, 2, 5, 6)).reshape(
-        groups, bsz * oh * ow, k
+        groups, bsz, oh * ow, k
     )
     w3 = w.data.reshape(groups, og, k)
-    out_g = np.matmul(cols, w3.transpose(0, 2, 1))  # (groups, B*oh*ow, og)
+    # One GEMM per (group, sample): a sample's output is bit-independent of its
+    # batch mates, since BLAS may pick a different kernel for a taller matrix.
+    out_g = np.matmul(cols, w3.transpose(0, 2, 1)[:, None])  # (groups, B, oh*ow, og)
     out = out_g.reshape(groups, bsz, oh, ow, og).transpose(1, 0, 4, 2, 3)
     out = np.ascontiguousarray(out).reshape(bsz, cout, oh, ow)
     if b is not None:
@@ -528,17 +532,18 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     def bwd(g):
         gm = g.reshape(bsz, groups, og, oh, ow).transpose(1, 0, 3, 4, 2)
         gm = np.ascontiguousarray(gm).reshape(groups, bsz * oh * ow, og)
-        dw3 = np.matmul(gm.transpose(0, 2, 1), cols)  # (groups, og, k)
-        dw = dw3.reshape(cout, cg, kh, kw)
+        gw = np.matmul(gm.transpose(0, 2, 1), cols.reshape(groups, -1, k))  # (groups, og, k)
+        gw = gw.reshape(cout, cg, kh, kw)
         dcols = np.matmul(gm, w3)  # (groups, B*oh*ow, k)
         dcols = dcols.reshape(groups, bsz, oh, ow, cg, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
         dcols = np.ascontiguousarray(dcols).reshape(bsz, -1)
+        idx = _conv_gather_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
         dxp = np.zeros((bsz, cin * hp * wp), dtype=g.dtype)
         for i in range(bsz):
             np.add.at(dxp[i], idx, dcols[i])
         dxp = dxp.reshape(bsz, cin, hp, wp)
         dx = dxp[:, :, ph:ph + h, pw:pw + wid]
-        grads = [np.ascontiguousarray(dx), dw]
+        grads = [np.ascontiguousarray(dx), gw]
         if b is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)

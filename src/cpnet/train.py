@@ -26,7 +26,7 @@ from .data import (
     resize_image,
     resize_labels,
 )
-from .fileio import load_checkpoint, save_checkpoint, write_pgm, write_ppm
+from .fileio import FormatError, load_checkpoint, save_checkpoint, write_pgm, write_ppm
 from .labelmap import LabelMap
 from .network import CPNet, cpnet_forward, total_loss
 from .optim import SgdMomentum, poly_lr
@@ -96,11 +96,11 @@ def load_model(path: str) -> tuple[CPNet, TrainConfig, int]:
     missing = sorted(set(want) - set(tensors))
     extra = sorted(set(tensors) - set(want))
     if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing {missing}, extra {extra}")
+        raise FormatError(f"checkpoint mismatch: missing {missing}, extra {extra}")
     for name, dst in want.items():
         src = tensors[name]
         if src.shape != dst.shape:
-            raise ValueError(f"{name}: checkpoint {src.shape} vs model {dst.shape}")
+            raise FormatError(f"{name}: checkpoint {src.shape} vs model {dst.shape}")
         dst[...] = src
     return model, cfg, step
 
@@ -110,37 +110,39 @@ def load_model(path: str) -> tuple[CPNet, TrainConfig, int]:
 # ---------------------------------------------------------------------------
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=0, keepdims=True)
+    """Softmax over the class axis of (C,H,W) or (n,C,H,W) logits."""
+    z = logits - logits.max(axis=-3, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-3, keepdims=True)
 
 
 def predict_window_probs(model: CPNet, img: np.ndarray) -> np.ndarray:
     """Class probabilities for one crop-sized window, eval-mode BN."""
-    logits, _aux, _p = model.forward(T.Tensor(img[None].astype(np.float32)), mode="eval")
-    return _softmax(logits.data[0].astype(np.float64))
+    return predict_probs(model, img, img.shape[-1])
 
 
 def predict_probs(model: CPNet, img: np.ndarray, window: int) -> np.ndarray:
     """Tile an arbitrary image with non-overlapping crop-sized windows.
 
     The prior head fixes the window size, so images are zero-padded up to
-    a multiple of the window, predicted per tile, and cropped back.
+    a multiple of the window and cut into tiles.  All tiles go through one
+    eval-mode forward (a tile's output does not depend on its batch mates)
+    and are reassembled and cropped back.
     """
-    _, h, w = img.shape
-    hp = max(window, ((h + window - 1) // window) * window)
-    wp = max(window, ((w + window - 1) // window) * window)
+    c, h, w = img.shape
+    ny, nx = max(1, -(-h // window)), max(1, -(-w // window))
+    hp, wp = ny * window, nx * window
     if (hp, wp) != (h, w):
-        padded = np.zeros((3, hp, wp), dtype=img.dtype)
+        padded = np.zeros((c, hp, wp), dtype=img.dtype)
         padded[:, :h, :w] = img
     else:
         padded = img
-    probs = np.zeros((model.num_classes, hp, wp))
-    for y0 in range(0, hp, window):
-        for x0 in range(0, wp, window):
-            tile = padded[:, y0:y0 + window, x0:x0 + window]
-            probs[:, y0:y0 + window, x0:x0 + window] = predict_window_probs(model, tile)
-    return probs[:, :h, :w]
+    tiles = padded.reshape(c, ny, window, nx, window).transpose(1, 3, 0, 2, 4)
+    tiles = tiles.reshape(ny * nx, c, window, window).astype(np.float32, copy=False)
+    logits, _aux, _p = model.forward(T.Tensor(tiles), mode="eval")
+    probs = _softmax(logits.data.astype(np.float64))
+    probs = probs.reshape(ny, nx, -1, window, window).transpose(2, 0, 3, 1, 4)
+    return probs.reshape(-1, hp, wp)[:, :h, :w]
 
 
 def predict_scene_probs(

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process through entry()."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_missing_checkpoint_exits_3(cli_run, capsys, tmp_path):
     assert entry(["eval", "--ckpt", str(tmp_path / "nope"),
                   "--data", cli_run["data"]]) == 3
     assert "i/o error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-prior"])
+def test_corrupt_checkpoint_blob_exits_3(cli_run, capsys, tmp_path, command):
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    blob = sorted(os.listdir(os.path.join(ckpt, "tensors")))[0]
+    with open(os.path.join(ckpt, "tensors", blob), "wb") as f:
+        f.write(b"garbage")
+    if command == "eval":
+        argv = ["eval", "--ckpt", ckpt, "--data", cli_run["data"]]
+    else:
+        argv = ["dump-prior", "--ckpt", ckpt, "--scene", "0", "--out", str(tmp_path / "out")]
+    assert entry(argv) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and "not a CPT1" in err
 
 
 def test_dump_prior_writes_images(cli_run, capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from cpnet.data import SceneConfig, gen_synthetic_scene
 from cpnet.fileio import (
     MAGIC,
+    FormatError,
     cpt_bytes,
     load_checkpoint,
     load_dataset,
@@ -86,6 +87,15 @@ def test_cpt_read_rejects_corruption(tmp_path):
         f.write(blob[:4] + bytes([9]) + blob[5:])
     with pytest.raises(ValueError, match="dtype code"):
         read_cpt(bad_code)
+
+
+def test_cpt_read_short_header_is_a_format_error(tmp_path):
+    path = str(tmp_path / "h.cpt")
+    for blob in (b"", b"CPT1", MAGIC + bytes([0])):
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(FormatError, match="not a CPT1"):
+            read_cpt(path)
 
 
 def test_pgm_golden_bytes(tmp_path):

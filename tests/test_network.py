@@ -16,7 +16,7 @@ from cpnet.network import (
 )
 from cpnet.optim import SgdMomentum
 from cpnet.rng import Rng, bulk_uniform
-from cpnet.tensor import Graph, ShapeError, Tensor
+from cpnet.tensor import Graph, ShapeError, Tensor, conv2d
 
 
 def rnd_image(seed, batch, side):
@@ -113,6 +113,30 @@ def test_eval_forward_is_deterministic_and_frozen():
     assert np.array_equal(p1.data, p2.data)
     for bn, prev in zip(model.bn_layers(), before):
         assert np.array_equal(bn.state.running_mean, prev)
+
+
+def test_eval_forward_is_batch_invariant():
+    """A window's eval-mode logits and prior map do not depend on the other
+    windows stacked with it.  Stock widths on 32 px windows leave stage 3
+    with 16 GEMM rows per sample, where one GEMM over the whole batch would
+    pick a different BLAS kernel than a batch-1 forward."""
+    model = CPNet(num_classes=4, feat_hw=4, c1=16, k=11, seed=3)
+    windows = rnd_image(9, 6, 32)
+    logits, _aux, p = model.forward(windows, mode="eval")
+    for i in range(windows.shape[0]):
+        li, _ai, pi = model.forward(Tensor(windows.data[i:i + 1]), mode="eval")
+        assert np.array_equal(li.data[0], logits.data[i])
+        assert np.array_equal(pi.data[0], p.data[i])
+
+
+def test_conv2d_is_batch_invariant():
+    x = bulk_uniform(21, (9, 32, 8, 8)).astype(np.float32) - 0.5
+    w = bulk_uniform(22, (64, 32, 3, 3)).astype(np.float32) - 0.5
+    out = conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
+    assert out.shape == (9, 64, 4, 4)
+    for i in range(9):
+        one = conv2d(Tensor(x[i:i + 1]), Tensor(w), stride=2, padding=1).data
+        assert np.array_equal(one[0], out[i])
 
 
 def test_train_forward_updates_running_statistics():

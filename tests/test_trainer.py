@@ -9,6 +9,7 @@ from conftest import tiny_config
 from cpnet.data import ConfusionMatrix, SyntheticScene, gen_synthetic_scene
 from cpnet.fileio import load_checkpoint
 from cpnet.labelmap import LabelMap
+from cpnet.network import CPNet
 from cpnet.tensor import NumericError
 from cpnet.train import (
     affinity_series,
@@ -186,6 +187,37 @@ def test_tiling_pads_and_crops_back():
     # padding only grows bottom/right, so the first tile is untouched input
     direct = predict_window_probs(model, img[:, :16, :16])
     assert np.array_equal(probs[:, :16, :16], direct)
+
+
+def count_forwards(monkeypatch):
+    """Record the batch size of every CPNet.forward call."""
+    batches = []
+    forward = CPNet.forward
+
+    def counted(self, image, mode="train"):
+        batches.append(image.shape[0])
+        return forward(self, image, mode)
+
+    monkeypatch.setattr(CPNet, "forward", counted)
+    return batches
+
+
+def test_multiscale_flip_eval_runs_one_forward_per_pass(monkeypatch):
+    cfg = tiny_config(crop=32, scene_size=32)
+    model = build_model(cfg)
+    scene = val_scenes(cfg)[0]
+    batches = count_forwards(monkeypatch)
+    predict_scene_probs(model, scene.image, cfg.crop, scales=(2.0, 2.5, 3.0), flip=True)
+    assert batches == [4, 4, 9, 9, 9, 9]  # 64, 80, 96 px: 2x2, 3x3, 3x3 windows
+
+
+def test_tiled_prediction_is_one_forward(monkeypatch):
+    cfg = tiny_config()
+    model = build_model(cfg)
+    img = np.tile(val_scenes(cfg)[0].image, (1, 2, 2))
+    batches = count_forwards(monkeypatch)
+    predict_probs(model, img, cfg.crop)
+    assert batches == [4]
 
 
 def test_evaluate_matches_manual_confusion_accumulation():
