@@ -86,11 +86,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .fileio import load_dataset
+    from .fileio import FormatError, load_dataset
     from .train import evaluate, load_model
 
     model, cfg, _step = load_model(args.ckpt)
     scenes = load_dataset(args.data)
+    for i, scene in enumerate(scenes):
+        try:
+            scene.labels.validate_classes(cfg.num_classes)
+        except ValueError as e:
+            raise FormatError(f"{args.data}: scene {i}: {e}") from e
     if args.scales is not None:
         scales = tuple(float(s) for s in args.scales.split(",") if s.strip())
         if not scales:

@@ -132,21 +132,29 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
     rng_state = None
     tensors: dict[str, np.ndarray] = {}
     for ln in lines:
-        if ln.startswith("step = "):
-            step = int(ln.split("=", 1)[1])
-        elif ln.startswith("rng = "):
-            rng_state = tuple(int(tok, 16) for tok in ln.split("=", 1)[1].split())
-        elif ln.startswith("tensor "):
+        try:
+            if ln.startswith("step = "):
+                step = int(ln.split("=", 1)[1])
+                continue
+            if ln.startswith("rng = "):
+                rng_state = tuple(int(tok, 16) for tok in ln.split("=", 1)[1].split())
+                continue
+            if not ln.startswith("tensor "):
+                raise FormatError(f"{mpath}: unrecognized line {ln!r}")
             _, name, dtype_name, shape = ln.split(" ")
-            arr = read_cpt(os.path.join(path, "tensors", name + ".cpt"))
-            if arr.dtype != np.dtype(dtype_name):
-                raise FormatError(f"{name}: manifest says {dtype_name}, file holds {arr.dtype}")
+            if dtype_name not in _DTYPE_NAMES.values():
+                raise FormatError(f"{mpath}: unknown dtype {dtype_name!r} in {ln!r}")
             want = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
-            if arr.shape != want:
-                raise FormatError(f"{name}: manifest says {shape}, file holds {arr.shape}")
-            tensors[name] = arr
-        else:
-            raise FormatError(f"{mpath}: unrecognized line {ln!r}")
+        except FormatError:
+            raise
+        except ValueError as e:
+            raise FormatError(f"{mpath}: cannot parse line {ln!r}") from e
+        arr = read_cpt(os.path.join(path, "tensors", name + ".cpt"))
+        if arr.dtype != np.dtype(dtype_name):
+            raise FormatError(f"{name}: manifest says {dtype_name}, file holds {arr.dtype}")
+        if arr.shape != want:
+            raise FormatError(f"{name}: manifest says {shape}, file holds {arr.shape}")
+        tensors[name] = arr
     if step is None or rng_state is None:
         raise FormatError(f"{mpath}: missing step or rng entries")
     with open(os.path.join(path, "config.txt"), encoding="utf-8") as f:
@@ -179,8 +187,16 @@ def load_dataset(path: str):
     scenes = []
     for parts in entries:
         sid = parts[0]
-        seed = int(parts[1].split("=", 1)[1]) if len(parts) > 1 else 0
+        try:
+            seed = int(parts[1].split("=", 1)[1]) if len(parts) > 1 else 0
+        except (ValueError, IndexError) as e:
+            raise FormatError(f"{path}: cannot parse manifest entry {' '.join(parts)!r}") from e
         img = read_cpt(os.path.join(path, sid + ".img.cpt"))
         lab = read_cpt(os.path.join(path, sid + ".lbl.cpt"))
+        if img.ndim != 3 or img.shape[0] != 3 or lab.shape != img.shape[1:]:
+            raise FormatError(
+                f"{path}: scene {sid} has image {img.shape} and labels {lab.shape}; "
+                "want (3, H, W) and (H, W)"
+            )
         scenes.append(SyntheticScene(img, LabelMap(lab), seed))
     return scenes

@@ -12,6 +12,7 @@ a finite difference straddling it measures nothing meaningful.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -165,11 +166,15 @@ _CONV_CASES = [
     dict(x=(1, 3, 7, 5), w=(6, 3, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=True),
     dict(x=(2, 4, 5, 5), w=(4, 1, 3, 1), stride=1, padding=(1, 0), dilation=1, groups=4, bias=False),
     dict(x=(1, 2, 4, 9), w=(5, 2, 1, 5), stride=(1, 2), padding=(0, 2), dilation=1, groups=1, bias=True),
+    # 8 of the 9 taps read only padding
+    dict(x=(2, 3, 4, 4), w=(5, 3, 3, 3), stride=1, padding=4, dilation=4, groups=1, bias=False),
+    dict(x=(3, 4, 5, 7), w=(4, 1, 1, 5), stride=1, padding=(0, 2), dilation=1, groups=4, bias=False),
+    dict(x=(2, 5, 5, 6), w=(3, 5, 1, 1), stride=2, padding=0, dilation=1, groups=1, bias=True),
+    dict(x=(3, 4, 7, 6), w=(2, 4, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=True),
 ]
 
 
-def _bld_conv2d(rng):
-    case = _CONV_CASES[rng.integers(0, len(_CONV_CASES))]
+def _bld_conv2d(rng, case):
     x = rng.normal(size=case["x"])
     w = rng.normal(size=case["w"]) * 0.5
     arrays = [x, w]
@@ -297,7 +302,10 @@ CHECKS: dict[str, Callable[[], float]] = {
     "relu": lambda: fd_check(_bld_relu, seed=7),
     "sigmoid": lambda: fd_check(_bld_sigmoid, seed=8),
     "movement": lambda: fd_check(_bld_movement, seed=9),
-    "conv2d": lambda: fd_check(_bld_conv2d, seed=10),
+    # every geometry, not a random draw of them: they take different paths
+    "conv2d": lambda: max(
+        fd_check(partial(_bld_conv2d, case=c), trials=3, seed=10) for c in _CONV_CASES
+    ),
     "batch_norm": lambda: fd_check(_bld_batch_norm, seed=11),
     "bilinear_upsample": lambda: fd_check(_bld_bilinear, seed=12),
     "softmax_cross_entropy": lambda: fd_check(_bld_softmax_ce, seed=13),

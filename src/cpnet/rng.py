@@ -10,10 +10,11 @@ generators so that fixtures and golden files are portable across machines:
 
 * ``bulk_u64`` -- a counter-mode variant for large arrays (pixel noise).
   Output ``i`` of a call with seed ``s`` is produced by seeding a private
-  xoshiro256** state from splitmix64 outputs ``4i+1 .. 4i+4`` of the stream
-  started at ``s`` and emitting a single xoshiro256** value.  This is
-  stateless and vectorizes over numpy uint64 arrays, and the scalar
-  ``Rng``/``_splitmix64_at`` primitives double as its independent oracle.
+  xoshiro256** state from splitmix64 outputs ``4i .. 4i+3`` (counting
+  from 0) of the stream started at ``s`` and emitting a single
+  xoshiro256** value.  This is stateless and vectorizes over numpy uint64
+  arrays, and the scalar ``Rng``/``_splitmix64_at`` primitives double as
+  its independent oracle.
 
 Floats are derived as ``(u64 >> 11) * 2**-53`` (uniform in [0, 1)) and
 normals via the Box-Muller transform, so the byte-level output of the
@@ -111,26 +112,30 @@ class Rng:
         self._spare_normal = None
 
 
-def _bulk_splitmix64(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized splitmix64 outputs ``start .. start+count-1``."""
-    with np.errstate(over="ignore"):
-        k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z = np.uint64(seed & _MASK) + k * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
-
-
 def bulk_u64(seed: int, n: int) -> np.ndarray:
-    """n counter-mode outputs: one xoshiro256** value per splitmix-seeded lane."""
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    sm = _bulk_splitmix64(seed, 0, 4 * n).reshape(n, 4)
-    s1 = sm[:, 1]
+    """n counter-mode outputs: one xoshiro256** value per splitmix-seeded lane.
+
+    A fresh state's first xoshiro256** output reads only ``s[1]``, so of
+    lane i's four splitmix64 words only output ``4i+1`` is computed.  The
+    arithmetic runs in place on one array (wrapping uint64).
+    """
+    z = np.arange(n, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        x = s1 * np.uint64(5)
-        rot = (x << np.uint64(7)) | (x >> np.uint64(57))
-        return rot * np.uint64(9)
+        # splitmix64 output 4i+1 mixes seed + (4i+2) * golden
+        z *= np.uint64((4 * _GOLDEN) & _MASK)
+        z += np.uint64((seed + 2 * _GOLDEN) & _MASK)
+        # the three xor-shifts of mix64; the last multiply is xoshiro's s1 * 5
+        for shift, mul in ((30, _MIX1), (27, _MIX2), (31, 5)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(mul)
+        # xoshiro256** first output: rotl(s1 * 5, 7) * 9
+        np.right_shift(z, np.uint64(57), out=t)
+        z <<= np.uint64(7)
+        z |= t
+        z *= np.uint64(9)
+    return z
 
 
 def bulk_uniform(seed: int, shape) -> np.ndarray:

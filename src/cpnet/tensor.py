@@ -447,17 +447,18 @@ def conv2d_output_size(size: int, kernel: int, stride: int, pad: int, dilation: 
 _CONV_PLANS: dict[tuple, np.ndarray] = {}
 
 
-def _conv_gather_indices(c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw) -> np.ndarray:
+def _conv_scatter_indices(c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw) -> np.ndarray:
+    """Flat offsets into one padded (c, hp, wp) image, in (c, kh, kw, oh, ow) order."""
     key = (c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
     idx = _CONV_PLANS.get(key)
     if idx is None:
-        rows = np.arange(oh)[:, None] * sh + np.arange(kh)[None, :] * dh  # (oh,kh)
-        cols = np.arange(ow)[:, None] * sw + np.arange(kw)[None, :] * dw  # (ow,kw)
+        rows = np.arange(kh)[:, None] * dh + np.arange(oh)[None, :] * sh  # (kh,oh)
+        cols = np.arange(kw)[:, None] * dw + np.arange(ow)[None, :] * sw  # (kw,ow)
         idx = (
             (np.arange(c) * hp * wp)[:, None, None, None, None]
             + (rows * wp)[None, :, None, :, None]
             + cols[None, None, :, None, :]
-        )  # (c, oh, ow, kh, kw)
+        )  # (c, kh, kw, oh, ow)
         idx = np.ascontiguousarray(idx.reshape(-1))
         if len(_CONV_PLANS) > 256:
             _CONV_PLANS.clear()
@@ -511,37 +512,50 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     cg = cin // groups
     og = cout // groups
     k = cg * kh * kw
-    # cols: strided (B, Cin, oh, ow, kh, kw) view, arranged to (groups, B, oh*ow, cg*kh*kw)
+    # cols: (groups, cg*kh*kw, B, oh*ow), copied from a strided
+    # (B, Cin, oh, ow, kh, kw) view with the output pixels innermost.
     win = np.lib.stride_tricks.sliding_window_view(
         xp, (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3)
     )[:, :, ::sh, ::sw, ::dh, ::dw][:, :, :oh, :ow]
-    cols = win.reshape(bsz, groups, cg, oh, ow, kh, kw)
-    cols = np.ascontiguousarray(cols.transpose(1, 0, 3, 4, 2, 5, 6)).reshape(
-        groups, bsz, oh * ow, k
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        groups, k, bsz, oh * ow
     )
     w3 = w.data.reshape(groups, og, k)
-    # One GEMM per (group, sample): a sample's output is bit-independent of its
-    # batch mates, since BLAS may pick a different kernel for a taller matrix.
-    out_g = np.matmul(cols, w3.transpose(0, 2, 1)[:, None])  # (groups, B, oh*ow, og)
-    out = out_g.reshape(groups, bsz, oh, ow, og).transpose(1, 0, 4, 2, 3)
-    out = np.ascontiguousarray(out).reshape(bsz, cout, oh, ow)
+    # One GEMM per (sample, group), written straight into NCHW order: a
+    # sample's output is bit-independent of its batch mates, since BLAS
+    # may pick a different kernel for a wider matrix.
+    out = np.matmul(w3, cols.transpose(2, 0, 1, 3)).reshape(bsz, cout, oh, ow)
     if b is not None:
         out = out + b.data[None, :, None, None]
     out_t = Tensor(out)
 
     def bwd(g):
-        gm = g.reshape(bsz, groups, og, oh, ow).transpose(1, 0, 3, 4, 2)
-        gm = np.ascontiguousarray(gm).reshape(groups, bsz * oh * ow, og)
-        gw = np.matmul(gm.transpose(0, 2, 1), cols.reshape(groups, -1, k))  # (groups, og, k)
-        gw = gw.reshape(cout, cg, kh, kw)
-        dcols = np.matmul(gm, w3)  # (groups, B*oh*ow, k)
-        dcols = dcols.reshape(groups, bsz, oh, ow, cg, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
-        dcols = np.ascontiguousarray(dcols).reshape(bsz, -1)
-        idx = _conv_gather_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
-        dxp = np.zeros((bsz, cin * hp * wp), dtype=g.dtype)
-        for i in range(bsz):
-            np.add.at(dxp[i], idx, dcols[i])
-        dxp = dxp.reshape(bsz, cin, hp, wp)
+        gm = g.reshape(bsz, groups, og, oh * ow)
+        dxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)
+        if cg == og == 1:
+            # Depthwise: broadcast products instead of GEMMs of width 1, and
+            # col2im as one shifted, strided add per tap, which beats
+            # np.add.at on the aggregation's 11-tap convs (it loses for
+            # dense 3x3 convs on 4x4 maps).  Taps in (i, j) order reach
+            # every pixel in the same sequence as np.add.at.
+            gw = np.einsum("bgl,gkbl->gk", gm[:, :, 0], cols).reshape(w.shape)
+            dcols = (w3[None, :, 0, :, None] * gm).reshape(bsz, cin, kh, kw, oh, ow)
+            for i in range(kh):
+                for j in range(kw):
+                    d = dxp[:, :, i * dh:i * dh + sh * (oh - 1) + 1:sh,
+                            j * dw:j * dw + sw * (ow - 1) + 1:sw]
+                    d += dcols[:, :, i, j]
+        else:
+            # One GEMM per group, reducing over all B*oh*ow output pixels.
+            gw = np.matmul(
+                gm.transpose(1, 2, 0, 3).reshape(groups, og, -1),
+                cols.reshape(groups, k, -1).transpose(0, 2, 1),
+            ).reshape(w.shape)
+            dcols = np.matmul(w3.transpose(0, 2, 1), gm).reshape(bsz, -1)
+            idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
+            flat = dxp.reshape(bsz, -1)
+            for n in range(bsz):
+                np.add.at(flat[n], idx, dcols[n])
         dx = dxp[:, :, ph:ph + h, pw:pw + wid]
         grads = [np.ascontiguousarray(dx), gw]
         if b is not None:

@@ -11,7 +11,7 @@ from cpnet import _threads
 from cpnet.cli import entry
 from cpnet.config import serialize_config
 from cpnet.data import gen_synthetic_scene
-from cpnet.fileio import load_dataset
+from cpnet.fileio import load_dataset, write_cpt
 from cpnet.rng import derive
 from cpnet.train import TAG_VAL_SCENES, scene_config
 
@@ -151,6 +151,64 @@ def test_corrupt_checkpoint_blob_exits_3(cli_run, capsys, tmp_path, command):
     assert entry(argv) == 3
     err = capsys.readouterr().err
     assert "i/o error:" in err and "not a CPT1" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-prior"])
+@pytest.mark.parametrize("edit", [
+    ("step = ", "step = abc"),
+    ("tensor ", "{} float33 {}"),
+    ("tensor ", "{} float32 {} extra"),
+], ids=["step", "dtype", "fields"])
+def test_unparsable_manifest_value_exits_3(cli_run, capsys, tmp_path, command, edit):
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    manifest = os.path.join(ckpt, "manifest.txt")
+    lines = open(manifest, encoding="utf-8").read().splitlines()
+    prefix, template = edit
+    i = next(n for n, ln in enumerate(lines) if ln.startswith(prefix))
+    if prefix == "tensor ":
+        _, name, _dtype, shape = lines[i].split(" ")
+        lines[i] = "tensor " + template.format(name, shape)
+    else:
+        lines[i] = template
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    if command == "eval":
+        argv = ["eval", "--ckpt", ckpt, "--data", cli_run["data"]]
+    else:
+        argv = ["dump-prior", "--ckpt", ckpt, "--scene", "0", "--out", str(tmp_path / "out")]
+    assert entry(argv) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and "manifest" in err
+
+
+def _malformed_dataset(cli_run, tmp_path, labels):
+    data = str(tmp_path / "data")
+    shutil.copytree(cli_run["data"], data)
+    write_cpt(os.path.join(data, "00001.lbl.cpt"), labels)
+    return data
+
+
+@pytest.mark.parametrize("defect", ["label_shape", "label_class"])
+def test_eval_malformed_dataset_exits_3_before_evaluating(cli_run, capsys, tmp_path,
+                                                          monkeypatch, defect):
+    import cpnet.train
+
+    size = cli_run["cfg"].scene_size
+    if defect == "label_shape":
+        labels = np.zeros((size // 2, size // 2), dtype=np.int32)
+    else:
+        labels = np.zeros((size, size), dtype=np.int32)
+        labels[3, 5] = cli_run["cfg"].num_classes + 6
+    data = _malformed_dataset(cli_run, tmp_path, labels)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate() ran on a malformed dataset")
+
+    monkeypatch.setattr(cpnet.train, "evaluate", refuse)
+    assert entry(["eval", "--ckpt", cli_run["ckpt"], "--data", data]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and data in err
 
 
 def test_dump_prior_writes_images(cli_run, capsys, tmp_path):

@@ -200,6 +200,29 @@ def test_checkpoint_detects_manifest_tampering(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad_line", [
+    "step = abc",
+    "rng = 1 2 zz 4",
+    "tensor layer.weight float33 2x3",
+    "tensor layer.weight float32 2x3 extra",
+    "tensor layer.weight float32 2xq",
+], ids=["step", "rng", "dtype", "fields", "shape"])
+def test_checkpoint_unparsable_manifest_value_is_a_format_error(tmp_path, bad_line):
+    tensors, step, rng_state, text = ckpt_fixture()
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, tensors, step, rng_state, text)
+    manifest = os.path.join(path, "manifest.txt")
+    key = bad_line.split(" ")[0]
+    lines = [
+        ln for ln in open(manifest, encoding="utf-8").read().splitlines()
+        if not ln.startswith(key if key != "tensor" else "tensor layer.weight ")
+    ]
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines + [bad_line]) + "\n")
+    with pytest.raises(FormatError, match="manifest"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_requires_all_blobs(tmp_path):
     tensors, step, rng_state, text = ckpt_fixture()
     path = str(tmp_path / "ckpt")
@@ -234,3 +257,26 @@ def test_dataset_manifest_lists_every_pair(tmp_path):
     names = sorted(os.listdir(path))
     assert names == ["00000.img.cpt", "00000.lbl.cpt", "manifest.txt"]
     assert open(os.path.join(path, "manifest.txt")).read() == "00000 seed=1\n"
+
+
+def test_dataset_rejects_image_label_shape_mismatch(tmp_path):
+    cfg = SceneConfig(height=16, width=16, min_shape=4, max_shape=8)
+    path = str(tmp_path / "data")
+    save_dataset(path, [gen_synthetic_scene(3, cfg)])
+    write_cpt(os.path.join(path, "00000.lbl.cpt"), np.zeros((8, 8), dtype=np.int32))
+    with pytest.raises(FormatError, match="00000"):
+        load_dataset(path)
+    write_cpt(os.path.join(path, "00000.lbl.cpt"), np.zeros(16 * 16, dtype=np.int32))
+    with pytest.raises(FormatError, match="00000"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("entry", ["00000 seed=abc", "00000 seed"])
+def test_dataset_unparsable_manifest_seed_is_a_format_error(tmp_path, entry):
+    cfg = SceneConfig(height=8, width=8, min_shape=3, max_shape=5)
+    path = str(tmp_path / "data")
+    save_dataset(path, [gen_synthetic_scene(1, cfg)])
+    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as f:
+        f.write(entry + "\n")
+    with pytest.raises(FormatError, match="manifest entry"):
+        load_dataset(path)

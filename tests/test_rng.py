@@ -137,6 +137,18 @@ def test_bulk_lane_matches_scalar_oracle():
             assert int(vals[lane]) == r.u64()
 
 
+def test_bulk_lanes_of_a_long_call_match_scalar_oracle():
+    # bulk_u64 computes only the one splitmix word a lane's first output
+    # reads; the full four-word scalar seeding must still agree, at the
+    # first lanes, the last lane, and the wrap-around seed.
+    for seed in (0, (1 << 64) - 1):
+        vals = bulk_u64(seed, 4096)
+        for lane in (0, 1, 4095):
+            r = Rng(0)
+            r.set_state(tuple(_splitmix64_at(seed, 4 * lane + j) for j in range(4)))
+            assert int(vals[lane]) == r.u64()
+
+
 def test_bulk_first_lane_equals_sequential_first_draw():
     for seed in (0, 1, 999):
         assert int(bulk_u64(seed, 1)[0]) == Rng(seed).u64()

@@ -253,6 +253,11 @@ CONV_CASES = [
     dict(x=(2, 4, 6, 6), w=(4, 2, 3, 3), stride=1, padding=1, dilation=1, groups=2, bias=True),
     dict(x=(1, 3, 7, 5), w=(3, 1, 5, 1), stride=1, padding=(2, 0), dilation=1, groups=3, bias=False),
     dict(x=(1, 2, 10, 10), w=(2, 2, 3, 3), stride=(2, 1), padding=(1, 2), dilation=(2, 1), groups=1, bias=True),
+    # 8 of the 9 taps read only padding
+    dict(x=(2, 3, 4, 4), w=(5, 3, 3, 3), stride=1, padding=4, dilation=4, groups=1, bias=False),
+    dict(x=(3, 4, 5, 7), w=(4, 1, 1, 5), stride=1, padding=(0, 2), dilation=1, groups=4, bias=False),
+    dict(x=(2, 5, 5, 6), w=(3, 5, 1, 1), stride=2, padding=0, dilation=1, groups=1, bias=True),
+    dict(x=(3, 4, 7, 6), w=(2, 4, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=True),
 ]
 
 
