@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labelmap import LabelMap
-from .tensor import NumericError, ShapeError, Tensor, one_hot, record
+from .tensor import NumericError, ShapeError, Tensor, record
 
 EPS = 1e-7
 
@@ -57,10 +57,10 @@ class IdealAffinityMap:
 
 def ideal_affinity_map(gt_small: LabelMap, num_classes: int) -> IdealAffinityMap:
     gt_small.validate_classes(num_classes)
-    lhat = one_hot(gt_small, num_classes, dtype="float64").data
-    lhat = lhat.reshape(-1, num_classes)
-    values = lhat @ lhat.T  # exact: 0/1 entries, integer-valued sums
-    return IdealAffinityMap(values, gt_small.valid.reshape(-1).copy())
+    lab = gt_small.labels.reshape(-1)
+    valid = gt_small.valid.reshape(-1)
+    values = (lab[:, None] == lab[None, :]) & valid[:, None]
+    return IdealAffinityMap(values.astype(np.float64), valid)
 
 
 def affinity_image(a: IdealAffinityMap) -> np.ndarray:
@@ -68,8 +68,9 @@ def affinity_image(a: IdealAffinityMap) -> np.ndarray:
     return (a.values * 255).astype(np.uint8)
 
 
-def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Normalize (p, maps) to batched form (B,N,N) / stacked targets."""
+def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize (p, maps) to batched form: (B,N,N) prior, boolean targets
+    restricted to valid pairs, (B,N) validity."""
     if not isinstance(p, Tensor):
         raise TypeError("prior map must be a Tensor")
     if isinstance(maps, IdealAffinityMap):
@@ -84,12 +85,14 @@ def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     if len(maps) != pd.shape[0]:
         raise ShapeError(f"{pd.shape[0]} prior maps but {len(maps)} targets")
     n = pd.shape[1]
-    for a in maps:
-        if a.n != n:
-            raise ShapeError(f"target is {a.n}x{a.n} but prior map is {n}x{n}")
-    a = np.stack([m.values for m in maps])
+    for m in maps:
+        if m.n != n:
+            raise ShapeError(f"target is {m.n}x{m.n} but prior map is {n}x{n}")
     valid = np.stack([m.valid for m in maps])
-    return pd, a, valid, maps
+    a = np.stack([m.values.astype(bool) for m in maps])
+    a &= valid[:, :, None]
+    a &= valid[:, None, :]
+    return pd, a, valid
 
 
 def unary_affinity_loss(p: Tensor, maps, eps: float = EPS) -> Tensor:
@@ -98,24 +101,25 @@ def unary_affinity_loss(p: Tensor, maps, eps: float = EPS) -> Tensor:
     Probabilities are clamped to [eps, 1-eps] before the logs; the clamp
     gates the gradient (zero outside the open interval), so targets fed
     back as predictions produce a loss within ~eps of zero and no blow-up.
+    With r = -p where the target is 1 and r = 1 - p where it is 0, each
+    pair's loss is -log|r| and its gradient is 1/r.
     """
-    pd, a, valid, _ = _stack(p, maps)
-    mask = valid[:, :, None] & valid[:, None, :]
-    counts = mask.sum(axis=(1, 2))
-    if (counts == 0).any():
+    pd, a, valid = _stack(p, maps)
+    nv = valid.sum(axis=1)
+    if (nv == 0).any():
         raise NumericError("unary affinity loss: an image has no valid pixels")
-    pc = np.clip(pd, eps, 1.0 - eps)
-    bce = a * np.log(pc) + (1.0 - a) * np.log1p(-pc)
+    counts = nv.astype(np.float64) ** 2
+    r = np.subtract(~a, np.clip(pd, eps, 1.0 - eps), dtype=pd.dtype)
+    col = valid[:, :, None].astype(pd.dtype)
+    rows = np.matmul(np.log(np.abs(r)), col)[:, :, 0]  # (B, N): sums over valid columns
     b = pd.shape[0]
-    per_image = -(bce * mask).sum(axis=(1, 2)) / counts
+    per_image = -(rows * valid).sum(axis=1, dtype=np.float64) / counts
     out = Tensor(np.asarray(per_image.mean(), dtype=pd.dtype))
 
-    weight = mask / (b * counts)[:, None, None]
-    interior = (pd > eps) & (pd < 1.0 - eps)
-
     def bwd(g):
-        dp = -(a / pc - (1.0 - a) / (1.0 - pc)) * weight * interior
-        dp = (dp * g).astype(pd.dtype)
+        s = (valid * (g / (b * counts))[:, None]).astype(pd.dtype)[:, :, None]
+        dp = s / r
+        dp *= (pd > eps) & (pd < 1.0 - eps) & valid[:, None, :]
         return (dp if p.data.ndim == 3 else dp[0],)
 
     return record((p,), out, bwd)
@@ -143,19 +147,22 @@ def global_affinity_loss(p: Tensor, maps, eps: float = EPS) -> tuple[Tensor, Glo
     skipped for that row (a single-class image has no specificity term).
     The loss is -(mean over batch of per-image means over valid rows) of
     the three terms' sum.
+
+    Only sum(p) and sum(a*p) read the prior map; sum(a) is a count, and
+    sum((1-a)*(1-p)) = sum(1-a) - sum(p) + sum(a*p).  Row sums accumulate
+    in float64 because that difference can cancel.
     """
-    pd, a, valid, _ = _stack(p, maps)
+    pd, a, valid = _stack(p, maps)
     nv = valid.sum(axis=1)
     if (nv == 0).any():
         raise NumericError("global affinity loss: an image has no valid rows")
-    b, n = pd.shape[0], pd.shape[1]
-    m_col = valid[:, None, :]  # broadcast over rows
+    b = pd.shape[0]
 
-    s_ap = (a * pd * m_col).sum(axis=2)  # (B, N)
-    s_p = (pd * m_col).sum(axis=2)
-    s_a = (a * m_col).sum(axis=2)
-    s_in = ((1.0 - a) * (1.0 - pd) * m_col).sum(axis=2)
-    s_na = ((1.0 - a) * m_col).sum(axis=2)
+    s_p = (pd * valid[:, None, :]).sum(axis=2, dtype=np.float64)  # (B, N)
+    s_ap = (pd * a).sum(axis=2, dtype=np.float64)
+    s_a = np.count_nonzero(a, axis=2).astype(np.float64)
+    s_na = nv[:, None] - s_a
+    s_in = s_na - s_p + s_ap
 
     def ratio(num, den):
         r = np.divide(num, den, out=np.ones_like(num), where=den > 0)
@@ -181,15 +188,15 @@ def global_affinity_loss(p: Tensor, maps, eps: float = EPS) -> tuple[Tensor, Glo
             inv_sap = np.where(s_ap > 0, 1.0 / s_ap, 0.0)
             inv_sp = np.where(s_p > 0, 1.0 / s_p, 0.0)
             inv_sin = np.where(s_in > 0, 1.0 / s_in, 0.0)
-        # bracket[b,j,i] = d(T^p + T^r + T^s)_j / dp_ji  (before masking)
-        gpr = gp.astype(np.float64) + gr  # both terms share the d(sum a*p) part
-        bracket = (
-            a * (gpr * inv_sap)[:, :, None]
-            - (gp * inv_sp)[:, :, None]
-            - (1.0 - a) * (gs * inv_sin)[:, :, None]
-        )
-        dp = -bracket * m_col * (valid * w[:, None])[:, :, None]
-        dp = (dp * g).astype(pd.dtype)
+        # d(T^p + T^r + T^s)_j / dp_ji on valid columns i, by target value;
+        # precision and recall share the d(sum a*p) part
+        k1 = (gp.astype(np.float64) + gr) * inv_sap - gp * inv_sp
+        k0 = -(gp * inv_sp) - gs * inv_sin
+        row = -g * w[:, None]
+        # k0 + a * (k1 - k0): a product, as a branch on a costs more
+        dp = a * ((k1 - k0) * row).astype(pd.dtype)[:, :, None]
+        dp += (k0 * row).astype(pd.dtype)[:, :, None]
+        dp *= valid[:, None, :]
         return (dp if p.data.ndim == 3 else dp[0],)
 
     return record((p,), out, bwd), terms

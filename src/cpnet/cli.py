@@ -96,6 +96,8 @@ def _cmd_eval(args) -> int:
             scene.labels.validate_classes(cfg.num_classes)
         except ValueError as e:
             raise FormatError(f"{args.data}: scene {i}: {e}") from e
+    if not any(scene.labels.valid.any() for scene in scenes):
+        raise FormatError(f"{args.data}: no labelled pixel to evaluate")
     if args.scales is not None:
         scales = tuple(float(s) for s in args.scales.split(",") if s.strip())
         if not scales:

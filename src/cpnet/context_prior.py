@@ -10,7 +10,13 @@ then gather class-consistent and class-inconsistent context:
     Y    = P (1/N-free) matmul X_r      same-class summary per pixel
     Ybar = (1 - P) matmul X_r           different-class summary
 
-and the layer output is concat(X, Y, Ybar) on the channel axis.
+and the layer output is concat(X, Y, Ybar) on the channel axis.  Ybar is
+computed through the identity
+
+    (1 - P) X_r = 1 colsum(X_r) - P X_r = colsum(X_r) - Y
+
+(each row of Ybar is the channel totals minus that row of Y), so neither
+the N x N complement 1 - P nor a second N x N product is formed.
 """
 
 from __future__ import annotations
@@ -81,6 +87,16 @@ class AggregationModule:
         return [self.bn1, self.bn2]
 
 
+def _complement_context(xr: T.Tensor, y: T.Tensor) -> T.Tensor:
+    """(1 - P) X_r from Y = P X_r: every row is colsum(X_r) - Y."""
+    out = T.Tensor(xr.data.sum(axis=1, keepdims=True) - y.data)
+
+    def bwd(g):
+        return np.broadcast_to(g.sum(axis=1, keepdims=True), xr.shape), -g
+
+    return T.record((xr, y), out, bwd)
+
+
 class ContextPriorLayer:
     """Aggregation, prior-map head, and intra/inter context gathering.
 
@@ -118,8 +134,7 @@ class ContextPriorLayer:
         p = self.prior_head(xa, mode)
         xr = T.transpose(T.reshape(xa, (b, self.c1, self.n)), (0, 2, 1))  # (B,N,C1)
         y = T.bmm(p, xr)
-        p_inv = T.sub(T.full((b, self.n, self.n), 1.0, p.dtype), p)
-        ybar = T.bmm(p_inv, xr)
+        ybar = _complement_context(xr, y)
 
         def to_map(t):
             return T.reshape(T.transpose(t, (0, 2, 1)), (b, self.c1, h, w))

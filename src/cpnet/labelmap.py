@@ -9,6 +9,15 @@ import numpy as np
 IGNORE_INDEX = 255
 
 
+def check_classes(labels: np.ndarray, ignore_index: int, num_classes: int) -> None:
+    """Raise ValueError naming the first non-ignored label outside
+    [0, num_classes); ``labels`` may have any rank."""
+    bad = (labels != ignore_index) & ((labels < 0) | (labels >= num_classes))
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"label {labels[at]} at pixel {at} is outside [0, {num_classes})")
+
+
 @dataclass
 class LabelMap:
     """A dense H x W grid of integer class labels.
@@ -41,13 +50,7 @@ class LabelMap:
 
     def validate_classes(self, num_classes: int) -> None:
         """Raise if any non-ignored label falls outside [0, num_classes)."""
-        bad = self.valid & ((self.labels < 0) | (self.labels >= num_classes))
-        if bad.any():
-            y, x = np.argwhere(bad)[0]
-            raise ValueError(
-                f"label {self.labels[y, x]} at pixel ({y}, {x}) is outside "
-                f"[0, {num_classes})"
-            )
+        check_classes(self.labels, self.ignore_index, num_classes)
 
     def copy(self) -> "LabelMap":
         return LabelMap(self.labels.copy(), self.ignore_index)

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from .labelmap import LabelMap
+from .labelmap import LabelMap, check_classes
 
 _DTYPES = {
     "float32": np.dtype(np.float32),
@@ -347,12 +347,18 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _unwrap(a)
     ad = a.data
-    # exp of a non-positive argument only: saturates without overflow
-    e = np.exp(-np.abs(ad))
-    y = np.where(ad >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(ad.dtype)
-    out = Tensor(y)
+    # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf) = 0
+    with np.errstate(over="ignore"):
+        out = Tensor(1.0 / (1.0 + np.exp(-ad)))
     yd = out.data
-    return record((a,), out, lambda g: (g * yd * (1.0 - yd),))
+
+    def bwd(g):
+        dx = 1.0 - yd
+        dx *= yd
+        dx *= g
+        return (dx,)
+
+    return record((a,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +723,8 @@ def one_hot(labels, num_classes: int, ignore_index: int | None = None, dtype="fl
     arr, ignore = _label_array(labels, ignore_index)
     if arr.ndim != 2:
         raise ShapeError(f"one_hot expects a 2-D label grid, got {arr.shape}")
+    check_classes(arr, ignore, num_classes)
     valid = arr != ignore
-    bad = valid & ((arr < 0) | (arr >= num_classes))
-    if bad.any():
-        y, x = np.argwhere(bad)[0]
-        raise ValueError(
-            f"label {arr[y, x]} at pixel ({y}, {x}) is outside [0, {num_classes})"
-        )
     out = np.zeros(arr.shape + (num_classes,), dtype=_DTYPES[dtype])
     yy, xx = np.nonzero(valid)
     out[yy, xx, arr[yy, xx]] = 1
@@ -735,19 +736,13 @@ def softmax_cross_entropy(logits, labels, ignore_index: int | None = None) -> Te
     logits = _unwrap(logits)
     if logits.data.ndim != 4:
         raise ShapeError(f"logits must be [B,C,H,W], got {logits.shape}")
-    if isinstance(labels, LabelMap):
-        lab = labels.labels[None]
-        ignore = labels.ignore_index
-    else:
-        lab = np.asarray(labels).astype(np.int32)
-        if lab.ndim == 2:
-            lab = lab[None]
-        if ignore_index is None:
-            raise ValueError("ignore_index required when labels is a raw array")
-        ignore = ignore_index
+    lab, ignore = _label_array(labels, ignore_index)
+    if lab.ndim == 2:
+        lab = lab[None]
     bsz, c, h, w = logits.shape
     if lab.shape != (bsz, h, w):
         raise ShapeError(f"labels shape {lab.shape} does not match logits {logits.shape}")
+    check_classes(lab, ignore, c)
     valid = lab != ignore
     n = int(valid.sum())
     if n == 0:
@@ -757,17 +752,16 @@ def softmax_cross_entropy(logits, labels, ignore_index: int | None = None) -> Te
     z = ld - ld.max(axis=1, keepdims=True)
     ez = np.exp(z)
     se = ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(se)  # (B,C,H,W)
-    safe = np.where(valid, lab, 0)
-    picked = np.take_along_axis(logp, safe[:, None], axis=1)[:, 0]
+    # one-hot of the labels; ignored pixels are zeroed by `valid` in both passes
+    hit = np.arange(c, dtype=lab.dtype)[None, :, None, None] == lab[:, None]
+    picked = (z * hit).sum(axis=1) - np.log(se[:, 0])
     loss = -(picked * valid).sum() / n
     out = Tensor(np.asarray(loss, dtype=ld.dtype))
 
     def bwd(g):
-        p = ez / se
-        oh = np.zeros_like(p)
-        np.put_along_axis(oh, safe[:, None], 1.0, axis=1)
-        dx = (p - oh) * (valid[:, None] / n) * g
-        return (dx.astype(ld.dtype),)
+        dx = ez / se
+        dx -= hit
+        dx *= (valid * (g / n)).astype(ld.dtype)[:, None]
+        return (dx,)
 
     return record((logits,), out, bwd)

@@ -313,6 +313,52 @@ def test_global_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# Both terms: precision and target masking
+# ---------------------------------------------------------------------------
+
+def loss_and_grad(fn, p, maps):
+    pt = Tensor(p)
+    with Graph() as g:
+        loss = fn(pt, maps)
+        loss = loss[0] if isinstance(loss, tuple) else loss
+    return loss.item(), g.backward(loss)[pt]
+
+
+@pytest.mark.parametrize("near_target", [False, True], ids=["mid_range", "near_target"])
+@pytest.mark.parametrize("fn", [unary_affinity_loss, global_affinity_loss],
+                         ids=["unary", "global"])
+def test_float32_loss_matches_float64_at_n256(fn, near_target):
+    maps = [ideal_affinity_map(random_labels(s, 16, 5), 5) for s in (81, 82)]
+    if near_target:
+        d = bulk_uniform(83, (2, 256, 256)) * 0.01 + 1e-4
+        p = np.where(np.stack([m.values for m in maps]) > 0, 1.0 - d, d)
+    else:
+        p = random_prior(84, 256, batch=2)
+    p32 = p.astype(np.float32)
+    l32, g32 = loss_and_grad(fn, p32, maps)
+    l64, g64 = loss_and_grad(fn, p32.astype(np.float64), maps)
+    assert g32.dtype == np.float32
+    assert l32 == pytest.approx(l64, rel=1e-5)
+    assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
+@pytest.mark.parametrize("fn", [unary_affinity_loss, global_affinity_loss],
+                         ids=["unary", "global"])
+def test_target_ones_on_invalid_pairs_are_ignored(fn):
+    gt = LabelMap(np.array([[0, IGNORE_INDEX, 1], [1, 0, IGNORE_INDEX], [0, 1, 2]],
+                           dtype=np.int32))
+    clean = ideal_affinity_map(gt, 3)
+    values = clean.values.copy()
+    values[0, 1] = values[1, 0] = values[1, 5] = 1.0  # pairs with an ignored pixel
+    dirty = IdealAffinityMap(values, clean.valid.copy())
+    p = random_prior(85, 9)
+    want_loss, want_grad = loss_and_grad(fn, p, [clean])
+    got_loss, got_grad = loss_and_grad(fn, p, [dirty])
+    assert got_loss == want_loss
+    assert np.array_equal(got_grad, want_grad)
+
+
+# ---------------------------------------------------------------------------
 # Combined loss and input validation
 # ---------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from cpnet.cli import entry
 from cpnet.config import serialize_config
 from cpnet.data import gen_synthetic_scene
 from cpnet.fileio import load_dataset, write_cpt
+from cpnet.labelmap import IGNORE_INDEX
 from cpnet.rng import derive
 from cpnet.train import TAG_VAL_SCENES, scene_config
 
@@ -204,6 +205,31 @@ def test_eval_malformed_dataset_exits_3_before_evaluating(cli_run, capsys, tmp_p
 
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate() ran on a malformed dataset")
+
+    monkeypatch.setattr(cpnet.train, "evaluate", refuse)
+    assert entry(["eval", "--ckpt", cli_run["ckpt"], "--data", data]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and data in err
+
+
+@pytest.mark.parametrize("defect", ["no_scenes", "no_labelled_pixel"])
+def test_eval_dataset_with_nothing_to_score_exits_3(cli_run, capsys, tmp_path,
+                                                    monkeypatch, defect):
+    import cpnet.train
+
+    data = str(tmp_path / "data")
+    shutil.copytree(cli_run["data"], data)
+    if defect == "no_scenes":
+        open(os.path.join(data, "manifest.txt"), "w", encoding="utf-8").close()
+    else:
+        size = cli_run["cfg"].scene_size
+        for name in os.listdir(data):
+            if name.endswith(".lbl.cpt"):
+                write_cpt(os.path.join(data, name),
+                          np.full((size, size), IGNORE_INDEX, dtype=np.int32))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate() ran on a dataset with nothing to score")
 
     monkeypatch.setattr(cpnet.train, "evaluate", refuse)
     assert entry(["eval", "--ckpt", cli_run["ckpt"], "--data", data]) == 3

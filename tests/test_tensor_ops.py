@@ -16,6 +16,7 @@ from cpnet.tensor import (
     BN_EPS,
     BN_MOMENTUM,
     BatchNormState,
+    Graph,
     NumericError,
     ShapeError,
     Tensor,
@@ -150,9 +151,11 @@ def test_relu_and_sigmoid_values():
 
 
 def test_sigmoid_is_stable_at_extremes():
-    with np.errstate(over="raise", invalid="raise"):
-        out = sigmoid(Tensor(np.array([-800.0, 800.0], dtype=np.float64))).data
-    assert out[0] == 0.0 and out[1] == 1.0
+    for dtype in (np.float64, np.float32):
+        with np.errstate(over="raise", invalid="raise"):
+            out = sigmoid(Tensor(np.array([-800.0, 800.0], dtype=dtype))).data
+        assert out.dtype == dtype
+        assert out[0] == 0.0 and out[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +506,48 @@ def test_cross_entropy_accepts_label_maps():
     assert got.item() == pytest.approx(
         ce_oracle(logits, lab.labels[None], IGNORE_INDEX), rel=1e-12
     )
+
+
+def ce_grad_oracle(logits, labels, ignore):
+    """d(mean CE)/d(logits), one pixel at a time, in float64."""
+    b, c, h, w = logits.shape
+    grad = np.zeros(logits.shape)
+    n = int((labels != ignore).sum())
+    for bi in range(b):
+        for y in range(h):
+            for x in range(w):
+                cls = labels[bi, y, x]
+                if cls == ignore:
+                    continue
+                z = logits[bi, :, y, x].astype(np.float64)
+                e = np.exp(z - z.max())
+                grad[bi, :, y, x] = e / e.sum()
+                grad[bi, cls, y, x] -= 1.0
+    return grad / n
+
+
+def test_cross_entropy_float32_matches_loop_oracle():
+    logits = rnd(53, (2, 4, 5, 6), lo=-6.0, hi=6.0).astype(np.float32)
+    labels = (bulk_uniform(54, (2, 5, 6)) * 4).astype(np.int32)
+    labels[bulk_uniform(55, (2, 5, 6)) < 0.2] = IGNORE_INDEX
+    lt = Tensor(logits)
+    with Graph() as g:
+        loss = softmax_cross_entropy(lt, labels, ignore_index=IGNORE_INDEX)
+    grad = g.backward(loss)[lt]
+    assert loss.dtype == "float32" and grad.dtype == np.float32
+    want = ce_oracle(logits.astype(np.float64), labels, IGNORE_INDEX)
+    assert loss.item() == pytest.approx(want, rel=1e-6)
+    assert np.allclose(grad, ce_grad_oracle(logits, labels, IGNORE_INDEX),
+                       rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_cross_entropy_rejects_labels_outside_the_classes(bad):
+    labels = np.zeros((1, 2, 2), dtype=np.int32)
+    labels[0, 1, 0] = bad
+    with pytest.raises(ValueError, match=rf"label {bad} at pixel \(0, 1, 0\) is outside \[0, 3\)"):
+        softmax_cross_entropy(Tensor(np.zeros((1, 3, 2, 2))), labels,
+                              ignore_index=IGNORE_INDEX)
 
 
 @given(st.integers(2, 6), st.integers(1, 3))
