@@ -18,6 +18,7 @@ N x N intermediates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,20 +69,32 @@ def affinity_image(a: IdealAffinityMap) -> np.ndarray:
     return (a.values * 255).astype(np.uint8)
 
 
+class _Stacked(NamedTuple):
+    """A batch's targets as ``_stack`` returns them, for a second loss term."""
+
+    a: np.ndarray  # (B, N, N) bool, restricted to valid pairs
+    valid: np.ndarray  # (B, N) bool
+
+
 def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize (p, maps) to batched form: (B,N,N) prior, boolean targets
-    restricted to valid pairs, (B,N) validity."""
+    restricted to valid pairs, (B,N) validity.  ``maps`` may also be the
+    ``_Stacked`` targets of an earlier call, which are used as they are."""
     if not isinstance(p, Tensor):
         raise TypeError("prior map must be a Tensor")
-    if isinstance(maps, IdealAffinityMap):
-        maps = [maps]
-    else:
-        maps = list(maps)
     pd = p.data
     if pd.ndim == 2:
         pd = pd[None]
     if pd.ndim != 3 or pd.shape[1] != pd.shape[2]:
         raise ShapeError(f"prior map must be NxN or BxNxN, got {p.shape}")
+    if isinstance(maps, _Stacked):
+        if maps.a.shape != pd.shape:
+            raise ShapeError(f"targets are {maps.a.shape} but prior map is {pd.shape}")
+        return pd, maps.a, maps.valid
+    if isinstance(maps, IdealAffinityMap):
+        maps = [maps]
+    else:
+        maps = list(maps)
     if len(maps) != pd.shape[0]:
         raise ShapeError(f"{pd.shape[0]} prior maps but {len(maps)} targets")
     n = pd.shape[1]
@@ -218,8 +231,9 @@ def affinity_loss(p: Tensor, maps, lambda_u: float = 1.0, lambda_g: float = 1.0)
     """Weighted sum of the unary and global terms; gradient flows through both."""
     from .tensor import add, scale
 
-    unary = unary_affinity_loss(p, maps)
-    glob, gt = global_affinity_loss(p, maps)
+    targets = _Stacked(*_stack(p, maps)[1:])  # stacked once for both terms
+    unary = unary_affinity_loss(p, targets)
+    glob, gt = global_affinity_loss(p, targets)
     total = add(scale(unary, lambda_u), scale(glob, lambda_g))
     return AffinityLossTerms(
         unary=unary,

@@ -57,17 +57,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen_data(args) -> int:
     from .config import load_config
-    from .data import gen_synthetic_scene
     from .fileio import save_dataset
-    from .rng import derive
-    from .train import TAG_VAL_SCENES, scene_config
+    from .train import val_scene
 
     cfg = load_config(args.config)
     count = cfg.val_scenes if args.count is None else args.count
-    sc = scene_config(cfg)
-    base = derive(cfg.seed, TAG_VAL_SCENES)
-    scenes = [gen_synthetic_scene(derive(base, i), sc) for i in range(count)]
-    save_dataset(args.out, scenes)
+    save_dataset(args.out, [val_scene(cfg, i) for i in range(count)])
     print(f"wrote {count} scenes to {args.out}")
     return 0
 
@@ -136,14 +131,10 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_dump_prior(args) -> int:
-    from .data import gen_synthetic_scene
-    from .rng import derive
-    from .train import TAG_VAL_SCENES, dump_prior, load_model, scene_config
+    from .train import dump_prior, load_model, val_scene
 
     model, cfg, _step = load_model(args.ckpt)
-    base = derive(cfg.seed, TAG_VAL_SCENES)
-    scene = gen_synthetic_scene(derive(base, args.scene), scene_config(cfg))
-    paths = dump_prior(model, scene, args.out)
+    paths = dump_prior(model, val_scene(cfg, args.scene), args.out)
     for path in paths:
         print(path)
     return 0
@@ -159,9 +150,6 @@ _COMMANDS = {
 
 
 def entry(argv=None) -> int:
-    from ._threads import apply_thread_cap
-
-    apply_thread_cap()
     args = _build_parser().parse_args(argv)
     from .config import ConfigError
     from .fileio import FormatError

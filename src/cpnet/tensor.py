@@ -618,38 +618,50 @@ def batch_norm(
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     xd = x.data
     gd = gamma.data[None, :, None, None]
+    bd = beta.data[None, :, None, None]
 
     if mode == "train":
         m = xd.shape[0] * xd.shape[2] * xd.shape[3]
         mean = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        xhat = xd - mean[None, :, None, None]
+        var = _channel_dot(xhat, xhat) / m
         state.running_mean[...] = momentum * state.running_mean + (1 - momentum) * mean
         state.running_var[...] = momentum * state.running_var + (1 - momentum) * var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = Tensor(gd * xhat + beta.data[None, :, None, None])
+        inv_std = (1.0 / np.sqrt(var + eps))[None, :, None, None]
+        xhat *= inv_std
+        out = xhat * gd
+        out += bd
 
         def bwd(g):
             dbeta = g.sum(axis=(0, 2, 3))
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            gsum = dbeta[None, :, None, None] / m
-            gx_sum = dgamma[None, :, None, None] / m
-            dx = (gd * inv_std[None, :, None, None]) * (g - gsum - xhat * gx_sum)
+            dgamma = _channel_dot(g, xhat)
+            dx = xhat * (-dgamma / m)[None, :, None, None]
+            dx += g
+            dx -= (dbeta / m)[None, :, None, None]
+            dx *= gd * inv_std
             return dx, dgamma, dbeta
 
-        return record((x, gamma, beta), out, bwd)
+        return record((x, gamma, beta), Tensor(out), bwd)
 
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    xhat = (xd - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = Tensor(gd * xhat + beta.data[None, :, None, None])
+    mean = state.running_mean.copy()[None, :, None, None]  # read again by bwd_eval
+    inv_std = 1.0 / np.sqrt(state.running_var + eps)[None, :, None, None]
+    s = gd * inv_std
+    out = xd * s
+    out += bd - mean * s
 
     def bwd_eval(g):
         dbeta = g.sum(axis=(0, 2, 3))
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dx = g * gd * inv_std[None, :, None, None]
-        return dx, dgamma, dbeta
+        dgamma = _channel_dot(g, (xd - mean) * inv_std)
+        return g * s, dgamma, dbeta
 
-    return record((x, gamma, beta), out, bwd_eval)
+    return record((x, gamma, beta), Tensor(out), bwd_eval)
+
+
+def _channel_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-channel sum of u*v over (B, H, W), as one dot per (sample,
+    channel) instead of a full-size product."""
+    b, c = u.shape[:2]
+    return np.matmul(u.reshape(b, c, 1, -1), v.reshape(b, c, -1, 1)).sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +718,7 @@ def bilinear_upsample(x, factor: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Label encoding and the segmentation loss
+# Labels and the segmentation loss
 # ---------------------------------------------------------------------------
 
 def _label_array(labels, ignore_index):
@@ -716,19 +728,6 @@ def _label_array(labels, ignore_index):
     if ignore_index is None:
         raise ValueError("ignore_index required when labels is a raw array")
     return arr.astype(np.int32), ignore_index
-
-
-def one_hot(labels, num_classes: int, ignore_index: int | None = None, dtype="float32") -> Tensor:
-    """Encode an H x W label grid as [H,W,C]; ignored pixels get all-zero rows."""
-    arr, ignore = _label_array(labels, ignore_index)
-    if arr.ndim != 2:
-        raise ShapeError(f"one_hot expects a 2-D label grid, got {arr.shape}")
-    check_classes(arr, ignore, num_classes)
-    valid = arr != ignore
-    out = np.zeros(arr.shape + (num_classes,), dtype=_DTYPES[dtype])
-    yy, xx = np.nonzero(valid)
-    out[yy, xx, arr[yy, xx]] = 1
-    return Tensor(out)
 
 
 def softmax_cross_entropy(logits, labels, ignore_index: int | None = None) -> Tensor:

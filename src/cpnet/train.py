@@ -68,10 +68,13 @@ def build_model(cfg: TrainConfig) -> CPNet:
     )
 
 
+def val_scene(cfg: TrainConfig, i: int) -> SyntheticScene:
+    """Scene ``i`` of the config's validation stream."""
+    return gen_synthetic_scene(derive(derive(cfg.seed, TAG_VAL_SCENES), i), scene_config(cfg))
+
+
 def val_scenes(cfg: TrainConfig) -> list[SyntheticScene]:
-    sc = scene_config(cfg)
-    base = derive(cfg.seed, TAG_VAL_SCENES)
-    return [gen_synthetic_scene(derive(base, i), sc) for i in range(cfg.val_scenes)]
+    return [val_scene(cfg, i) for i in range(cfg.val_scenes)]
 
 
 def model_tensors(model: CPNet) -> dict[str, np.ndarray]:

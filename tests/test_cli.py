@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in-process through entry()."""
 
 import os
+import platform
+import resource
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cpnet
 from conftest import tiny_config
 from cpnet import _threads
 from cpnet.cli import entry
@@ -264,3 +269,32 @@ def test_thread_cap_noop_when_unset(monkeypatch):
         monkeypatch.setenv(knob, "sentinel")
     _threads.apply_thread_cap()
     assert all(os.environ[k] == "sentinel" for k in _threads._KNOBS)
+
+
+HEAP_PROBE = """
+import resource
+import numpy as np
+import cpnet
+
+def one_round():
+    # 16 arrays of 2 MiB (below numpy's 4 MiB hugepage cutoff), written and freed
+    arrays = [np.ones(2 << 20, dtype=np.uint8) for _ in range(16)]
+    del arrays
+
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds only")
+def test_import_keeps_freed_heap_resident():
+    """Rounds 2-5 reuse round 1's pages instead of faulting them in again."""
+    src = os.path.dirname(os.path.dirname(cpnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    one_round_pages = 16 * (2 << 20) // resource.getpagesize()
+    assert int(out) < one_round_pages // 8

@@ -236,6 +236,12 @@ def test_label_map_basics():
     assert lab.labels[0, 0] == 0
 
 
+def test_label_map_reports_offending_pixel():
+    lab = LabelMap(np.array([[0, 5]], dtype=np.int32))
+    with pytest.raises(ValueError, match=r"label 5 at pixel \(0, 1\) is outside \[0, 3\)"):
+        lab.validate_classes(3)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from cpnet.tensor import (
     mean_all,
     mul,
     neg,
-    one_hot,
     relu,
     reshape,
     scale,
@@ -364,6 +363,62 @@ def test_batch_norm_rejects_unknown_mode():
                    Tensor(np.zeros(2)), state, mode="test")
 
 
+# float32 sums over m terms err by a few eps times the sum of the terms'
+# magnitudes; fixed from the dtype alone, not from a measured error
+F32_TOL = 32 * np.finfo(np.float32).eps
+
+
+def bn_oracle(x, gamma, beta, g, mean=None, var=None):
+    """Float64 batch norm forward and backward, with the magnitude each
+    result is a sum of.  Batch statistics unless ``mean``/``var`` are given
+    (eval mode: the statistics are constants)."""
+    x, g = x.astype(np.float64), g.astype(np.float64)
+    train = mean is None
+    if train:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    c4 = (slice(None), None, None)
+    inv_std = 1.0 / np.sqrt(np.asarray(var, np.float64) + BN_EPS)
+    xhat = (x - np.asarray(mean, np.float64)[c4]) * inv_std[c4]
+    out = gamma[c4] * xhat + beta[c4]
+    dbeta = g.sum(axis=(0, 2, 3))
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    dx = g
+    if train:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        dx = g - dbeta[c4] / m - xhat * dgamma[c4] / m
+    dx = dx * (gamma * inv_std)[c4]
+    sizes = (np.abs(g).sum(axis=(0, 2, 3)), np.abs(g * xhat).sum(axis=(0, 2, 3)))
+    return out, dx, dgamma, dbeta, sizes
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_float32_matches_float64_oracle(mode):
+    shape = (4, 16, 64, 64)  # the first backbone stage at crop 128, batch 4
+    x = (rnd(37, shape) * 1.5 + rnd(38, (1, 16, 1, 1))).astype(np.float32)
+    gamma = rnd(39, (16,), lo=0.5, hi=1.5).astype(np.float32)
+    beta = rnd(40, (16,), lo=-0.5, hi=0.5).astype(np.float32)
+    g = rnd(41, shape).astype(np.float32)
+    state = BatchNormState(16)
+    stats = {}
+    if mode == "eval":
+        state.running_mean[:] = x.mean(axis=(0, 2, 3), dtype=np.float64) + 0.1
+        state.running_var[:] = x.var(axis=(0, 2, 3), dtype=np.float64) * 1.2
+        stats = dict(mean=state.running_mean, var=state.running_var)
+    xt, gt, bt = Tensor(x), Tensor(gamma), Tensor(beta)
+    with Graph() as tape:
+        out = batch_norm(xt, gt, bt, state, mode=mode)
+        loss = sum_all(mul(out, Tensor(g)))
+    grads = tape.backward(loss)
+    want_out, want_dx, want_dgamma, want_dbeta, (g_size, gx_size) = bn_oracle(
+        x, gamma.astype(np.float64), beta.astype(np.float64), g, **stats)
+
+    assert out.data.dtype == np.float32 and grads[xt].dtype == np.float32
+    assert np.abs(out.data - want_out).max() <= F32_TOL * np.abs(want_out).max()
+    assert np.abs(grads[xt] - want_dx).max() <= F32_TOL * np.abs(want_dx).max()
+    assert (np.abs(grads[bt] - want_dbeta) <= F32_TOL * g_size).all()
+    assert (np.abs(grads[gt] - want_dgamma) <= F32_TOL * gx_size).all()
+
+
 # ---------------------------------------------------------------------------
 # Bilinear resampling
 # ---------------------------------------------------------------------------
@@ -431,24 +486,8 @@ def test_upsample_of_constant_stays_constant():
 
 
 # ---------------------------------------------------------------------------
-# Label encoding and cross-entropy
+# Cross-entropy
 # ---------------------------------------------------------------------------
-
-def test_one_hot_places_ones_and_zeroes_ignored():
-    lab = np.array([[0, 2], [IGNORE_INDEX, 1]], dtype=np.int32)
-    out = one_hot(LabelMap(lab), 3)
-    assert out.shape == (2, 2, 3)
-    assert np.array_equal(out.data[0, 0], [1, 0, 0])
-    assert np.array_equal(out.data[0, 1], [0, 0, 1])
-    assert np.array_equal(out.data[1, 0], [0, 0, 0])
-    assert np.array_equal(out.data[1, 1], [0, 1, 0])
-
-
-def test_one_hot_reports_offending_pixel():
-    lab = np.array([[0, 5]], dtype=np.int32)
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        one_hot(lab, 3, ignore_index=IGNORE_INDEX)
-
 
 def ce_oracle(logits, labels, ignore):
     """Scalar log-sum-exp cross-entropy, one pixel at a time."""
