@@ -223,8 +223,6 @@ class AffinityLossTerms:
     recall_sum: float
     specificity_sum: float
     total: Tensor
-    lambda_u: float
-    lambda_g: float
 
 
 def affinity_loss(p: Tensor, maps, lambda_u: float = 1.0, lambda_g: float = 1.0) -> AffinityLossTerms:
@@ -242,6 +240,4 @@ def affinity_loss(p: Tensor, maps, lambda_u: float = 1.0, lambda_g: float = 1.0)
         recall_sum=gt.recall,
         specificity_sum=gt.specificity,
         total=total,
-        lambda_u=lambda_u,
-        lambda_g=lambda_g,
     )

@@ -251,21 +251,3 @@ class ConfusionMatrix:
         union = gt_count + pred_count - np.diag(self.counts)
         iou = tp[present] / union[present]
         return float(iou.mean())
-
-
-def confusion_matrix(pred, gt, num_classes: int) -> np.ndarray:
-    cm = ConfusionMatrix(num_classes)
-    cm.update(pred, gt)
-    return cm.counts
-
-
-def pix_acc(pred, gt, num_classes: int) -> float:
-    cm = ConfusionMatrix(num_classes)
-    cm.update(pred, gt)
-    return cm.pix_acc()
-
-
-def mean_iou(pred, gt, num_classes: int) -> float:
-    cm = ConfusionMatrix(num_classes)
-    cm.update(pred, gt)
-    return cm.mean_iou()

@@ -4,8 +4,8 @@ Five conv-BN-ReLU stages at strides (2,2,2,1,1) give output stride 8; the
 last two stages trade stride for dilation (2, then 4) so the receptive
 field keeps growing at constant resolution.  Stage 5 feeds the context
 prior layer and the 1x1 segmentation head; stage 4 feeds an auxiliary
-head whose loss regularizes the lower stages.  Both logit maps are
-upsampled x8 back to input resolution.
+head whose loss regularizes the lower stages in training (eval skips it).
+Both logit maps are upsampled x8 back to input resolution.
 """
 
 from __future__ import annotations
@@ -122,14 +122,16 @@ class CPNet:
         self.aux_head = AuxHead("aux_head", self.backbone.widths[3], num_classes, seed, dtype)
 
     def forward(self, image: T.Tensor, mode: str = "train"):
-        """Returns (logits, aux_logits, P); P is None without the prior layer."""
+        """Returns (logits, aux_logits, P); P is None without the prior layer,
+        aux_logits in eval mode, since only the training loss reads them."""
         stage4, stage5 = self.backbone(image, mode)
         if self.cp_layer is not None:
             feats, p = self.cp_layer(stage5, mode)
         else:
             feats, p = stage5, None
         logits = T.bilinear_upsample(self.seg_head(feats), OUTPUT_STRIDE)
-        aux = T.bilinear_upsample(self.aux_head(stage4, mode), OUTPUT_STRIDE)
+        aux = (T.bilinear_upsample(self.aux_head(stage4, mode), OUTPUT_STRIDE)
+               if mode == "train" else None)
         return logits, aux, p
 
     def parameters(self) -> list[T.Parameter]:
@@ -157,9 +159,6 @@ class TotalLossTerms:
     prior: T.Tensor | None
     prior_unary: float
     prior_global: float
-    lambda_s: float
-    lambda_a: float
-    lambda_p: float
     total: T.Tensor
 
 
@@ -216,7 +215,5 @@ def total_loss(
         prior, pu, pg = None, 0.0, 0.0
     return TotalLossTerms(
         seg=seg, aux=aux, prior=prior,
-        prior_unary=pu, prior_global=pg,
-        lambda_s=lambda_s, lambda_a=lambda_a, lambda_p=lambda_p,
-        total=total,
+        prior_unary=pu, prior_global=pg, total=total,
     )

@@ -14,6 +14,7 @@ without zeroing doubles the gradients.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -472,6 +473,16 @@ def _conv_scatter_indices(c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw) -> np.ndarr
     return idx
 
 
+@functools.lru_cache(maxsize=256)
+def _tap_span(size: int, k: int, stride: int, pad: int, dilation: int, out: int):
+    """(lo, hi, start, stop): the hull [lo, hi) of the taps that reach a real pixel
+    at some output position (those outside read only padding) and the indices it reads."""
+    live = [i for i in range(k)
+            if any(0 <= t * stride + i * dilation - pad < size for t in range(out))]
+    lo, hi = (live[0], live[-1] + 1) if live else (0, k)
+    return lo, hi, lo * dilation - pad, size + pad - (k - hi) * dilation
+
+
 def _pair(v) -> tuple[int, int]:
     if isinstance(v, (tuple, list)):
         return int(v[0]), int(v[1])
@@ -508,10 +519,18 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
 
-    hp, wp = h + 2 * ph, wid + 2 * pw
-    if ph or pw:
+    # Drop the taps that read only padding and pad only as far as the kept
+    # ones read: [y0, y1) x [x0, x1), from (r0, c0) of the padded input.
+    lh, hh, y0, y1 = _tap_span(h, kh, sh, ph, dh, oh)
+    lw, hw, x0, x1 = _tap_span(wid, kw, sw, pw, dw, ow)
+    kh, kw = hh - lh, hw - lw
+    wd = w.data if (kh, kw) == w.shape[2:] else np.ascontiguousarray(w.data[:, :, lh:hh, lw:hw])
+    pt, pl = max(-y0, 0), max(-x0, 0)
+    hp, wp = pt + max(y1, h), pl + max(x1, wid)
+    r0, c0 = y0 + pt, x0 + pl
+    if (hp, wp) != (h, wid):
         xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-        xp[:, :, ph:ph + h, pw:pw + wid] = x.data
+        xp[:, :, pt:pt + h, pl:pl + wid] = x.data
     else:
         xp = x.data
 
@@ -521,12 +540,12 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     # cols: (groups, cg*kh*kw, B, oh*ow), copied from a strided
     # (B, Cin, oh, ow, kh, kw) view with the output pixels innermost.
     win = np.lib.stride_tricks.sliding_window_view(
-        xp, (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3)
+        xp[:, :, r0:, c0:], (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3)
     )[:, :, ::sh, ::sw, ::dh, ::dw][:, :, :oh, :ow]
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
         groups, k, bsz, oh * ow
     )
-    w3 = w.data.reshape(groups, og, k)
+    w3 = wd.reshape(groups, og, k)
     # One GEMM per (sample, group), written straight into NCHW order: a
     # sample's output is bit-independent of its batch mates, since BLAS
     # may pick a different kernel for a wider matrix.
@@ -544,25 +563,28 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
             # np.add.at on the aggregation's 11-tap convs (it loses for
             # dense 3x3 convs on 4x4 maps).  Taps in (i, j) order reach
             # every pixel in the same sequence as np.add.at.
-            gw = np.einsum("bgl,gkbl->gk", gm[:, :, 0], cols).reshape(w.shape)
+            gw = np.einsum("bgl,gkbl->gk", gm[:, :, 0], cols).reshape(wd.shape)
             dcols = (w3[None, :, 0, :, None] * gm).reshape(bsz, cin, kh, kw, oh, ow)
             for i in range(kh):
                 for j in range(kw):
-                    d = dxp[:, :, i * dh:i * dh + sh * (oh - 1) + 1:sh,
-                            j * dw:j * dw + sw * (ow - 1) + 1:sw]
+                    d = dxp[:, :, r0 + i * dh:r0 + i * dh + sh * (oh - 1) + 1:sh,
+                            c0 + j * dw:c0 + j * dw + sw * (ow - 1) + 1:sw]
                     d += dcols[:, :, i, j]
         else:
             # One GEMM per group, reducing over all B*oh*ow output pixels.
             gw = np.matmul(
                 gm.transpose(1, 2, 0, 3).reshape(groups, og, -1),
                 cols.reshape(groups, k, -1).transpose(0, 2, 1),
-            ).reshape(w.shape)
+            ).reshape(wd.shape)
             dcols = np.matmul(w3.transpose(0, 2, 1), gm).reshape(bsz, -1)
             idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
             flat = dxp.reshape(bsz, -1)
             for n in range(bsz):
-                np.add.at(flat[n], idx, dcols[n])
-        dx = dxp[:, :, ph:ph + h, pw:pw + wid]
+                np.add.at(flat[n, r0 * wp + c0:], idx, dcols[n])
+        if wd is not w.data:  # a dropped tap's gradient is exactly zero
+            gw, gk = np.zeros(w.shape, dtype=gw.dtype), gw
+            gw[:, :, lh:hh, lw:hw] = gk
+        dx = dxp[:, :, pt:pt + h, pl:pl + wid]
         grads = [np.ascontiguousarray(dx), gw]
         if b is not None:
             grads.append(g.sum(axis=(0, 2, 3)))

@@ -119,11 +119,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-3, keepdims=True)
 
 
-def predict_window_probs(model: CPNet, img: np.ndarray) -> np.ndarray:
-    """Class probabilities for one crop-sized window, eval-mode BN."""
-    return predict_probs(model, img, img.shape[-1])
-
-
 def predict_probs(model: CPNet, img: np.ndarray, window: int) -> np.ndarray:
     """Tile an arbitrary image with non-overlapping crop-sized windows.
 

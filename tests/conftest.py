@@ -1,9 +1,9 @@
 """Shared test configuration.
 
-The hypothesis profile disables deadlines because several strategies
-build small convolutions whose first call pays an im2col plan-cache
-miss, which is slow enough to trip the default deadline but perfectly
-deterministic.
+The hypothesis profile disables deadlines because the run time of some
+properties (the brute-force affinity-map oracle among them) grows with
+the drawn sizes and varies with machine load; a deadline would flake
+without finding anything.
 """
 
 from hypothesis import HealthCheck, settings

@@ -15,14 +15,11 @@ from cpnet.data import (
     SceneConfig,
     augment,
     class_color,
-    confusion_matrix,
     crop_or_pad,
     gen_synthetic_scene,
     hflip_scene,
     labels_to_rgb,
-    mean_iou,
     nearest_index,
-    pix_acc,
     resize_labels,
     scale_scene,
 )
@@ -263,10 +260,17 @@ def brute_metrics(pred, gt, classes, ignore=IGNORE_INDEX):
     return counts, acc, sum(ious) / len(ious)
 
 
+def scored(pred, gt, classes) -> ConfusionMatrix:
+    cm = ConfusionMatrix(classes)
+    cm.update(pred, gt)
+    return cm
+
+
 def test_perfect_prediction_scores_one():
     gt = gen_synthetic_scene(19, SceneConfig()).labels
-    assert pix_acc(gt, gt, 4) == 1.0
-    assert mean_iou(gt, gt, 4) == 1.0
+    cm = scored(gt, gt, 4)
+    assert cm.pix_acc() == 1.0
+    assert cm.mean_iou() == 1.0
 
 
 def test_metrics_match_brute_force_on_a_fixture():
@@ -281,15 +285,16 @@ def test_metrics_match_brute_force_on_a_fixture():
          [2, 1, 0, 1],
          [2, 0, 1, 1]], dtype=np.int32)
     want_counts, want_acc, want_miou = brute_metrics(pred, gt, 3)
-    assert np.array_equal(confusion_matrix(pred, LabelMap(gt), 3), want_counts)
-    assert pix_acc(pred, LabelMap(gt), 3) == pytest.approx(want_acc, rel=1e-12)
-    assert mean_iou(pred, LabelMap(gt), 3) == pytest.approx(want_miou, rel=1e-12)
+    cm = scored(pred, LabelMap(gt), 3)
+    assert np.array_equal(cm.counts, want_counts)
+    assert cm.pix_acc() == pytest.approx(want_acc, rel=1e-12)
+    assert cm.mean_iou() == pytest.approx(want_miou, rel=1e-12)
 
 
 def test_ignored_pixels_never_enter_the_counts():
     gt = np.array([[0, IGNORE_INDEX], [IGNORE_INDEX, 1]], dtype=np.int32)
     pred = np.array([[0, 0], [1, 0]], dtype=np.int32)
-    counts = confusion_matrix(pred, LabelMap(gt), 2)
+    counts = scored(pred, LabelMap(gt), 2).counts
     assert counts.sum() == 2  # only the two valid pixels
 
 
@@ -319,14 +324,14 @@ def test_mean_iou_averages_only_over_present_classes():
     gt = np.array([[0, 0], [1, 1]], dtype=np.int32)
     pred = np.array([[0, 1], [1, 1]], dtype=np.int32)
     # class 0: tp 1, union 2 -> 0.5 ; class 1: tp 2, union 3 -> 2/3
-    assert mean_iou(pred, LabelMap(gt), 3) == pytest.approx((0.5 + 2 / 3) / 2)
+    assert scored(pred, LabelMap(gt), 3).mean_iou() == pytest.approx((0.5 + 2 / 3) / 2)
 
 
 def test_false_positives_drag_in_absent_classes():
     # class 2 exists only as a wrong prediction: IoU 0 joins the average
     gt = np.array([[0, 0]], dtype=np.int32)
     pred = np.array([[0, 2]], dtype=np.int32)
-    assert mean_iou(pred, LabelMap(gt), 3) == pytest.approx((0.5 + 0.0) / 2)
+    assert scored(pred, LabelMap(gt), 3).mean_iou() == pytest.approx((0.5 + 0.0) / 2)
 
 
 @given(st.permutations(list(range(4))), st.integers(0, 2**32 - 1))
@@ -340,7 +345,7 @@ def test_metrics_are_invariant_under_class_relabeling(perm, seed):
     lut = np.array(perm, dtype=np.int32)
     gt_p = np.where(gt == IGNORE_INDEX, IGNORE_INDEX, lut[np.clip(gt, 0, 3)])
     pred_p = lut[pred]
-    assert pix_acc(pred, LabelMap(gt), 4) == pytest.approx(
-        pix_acc(pred_p, LabelMap(gt_p.astype(np.int32)), 4), rel=1e-12)
-    assert mean_iou(pred, LabelMap(gt), 4) == pytest.approx(
-        mean_iou(pred_p, LabelMap(gt_p.astype(np.int32)), 4), rel=1e-12)
+    a = scored(pred, LabelMap(gt), 4)
+    b = scored(pred_p, LabelMap(gt_p.astype(np.int32)), 4)
+    assert a.pix_acc() == pytest.approx(b.pix_acc(), rel=1e-12)
+    assert a.mean_iou() == pytest.approx(b.mean_iou(), rel=1e-12)

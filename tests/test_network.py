@@ -8,6 +8,7 @@ from cpnet.network import (
     DILATIONS,
     OUTPUT_STRIDE,
     STRIDES,
+    AuxHead,
     CPNet,
     affinity_targets,
     cpnet_forward,
@@ -66,6 +67,24 @@ def test_forward_shapes_without_prior():
     logits, aux, p = model.forward(rnd_image(3, 1, 16), mode="train")
     assert logits.shape == (1, 3, 16, 16)
     assert p is None
+
+
+def test_aux_head_runs_only_in_train_mode(monkeypatch):
+    """Only the training loss reads the aux logits: eval skips the head."""
+    calls = []
+    call = AuxHead.__call__
+
+    def counted(self, x, mode):
+        calls.append(mode)
+        return call(self, x, mode)
+
+    monkeypatch.setattr(AuxHead, "__call__", counted)
+    model = small_model()
+    logits, aux, p = model.forward(rnd_image(7, 2, 16), mode="eval")
+    assert calls == [] and aux is None
+    assert logits.shape == (2, 3, 16, 16) and p.shape == (2, 4, 4)
+    _, aux, _ = model.forward(rnd_image(7, 2, 16), mode="train")
+    assert calls == ["train"] and aux.shape == (2, 3, 16, 16)
 
 
 def test_seg_head_width_depends_on_the_context_branch():

@@ -231,6 +231,27 @@ def naive_conv2d(x, w, bias, stride, padding, dilation, groups):
     return out
 
 
+def naive_conv2d_grads(x, w, g, stride, padding, dilation, groups):
+    """Loop oracle for the backward: (dx, dw) of sum(g * conv2d(x, w))."""
+    b, cin, h, wd = x.shape
+    cout, cing, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    dh, dw = dilation
+    dxp = np.zeros((b, cin, h + 2 * ph, wd + 2 * pw))
+    xp = np.zeros_like(dxp)
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    gw = np.zeros(w.shape)
+    per_group = cout // groups
+    for bi, oc, oy, ox in np.ndindex(g.shape):
+        c0 = oc // per_group * cing
+        for ic, ky, kx in np.ndindex(cing, kh, kw):
+            y, xx = oy * sh + ky * dh, ox * sw + kx * dw
+            dxp[bi, c0 + ic, y, xx] += g[bi, oc, oy, ox] * w[oc, ic, ky, kx]
+            gw[oc, ic, ky, kx] += g[bi, oc, oy, ox] * xp[bi, c0 + ic, y, xx]
+    return dxp[:, :, ph:ph + h, pw:pw + wd], gw
+
+
 def test_conv2d_identity_kernel_is_identity():
     x = rnd(20, (1, 1, 3, 3))
     w = np.zeros((1, 1, 3, 3))
@@ -247,6 +268,20 @@ def test_conv2d_box_filter_spreads_an_impulse():
     assert np.array_equal(out.data[0, 0, 0], [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
+# Geometries where some kernel taps read only padding at every output
+# position; conv2d drops them from the GEMM.
+DEAD_TAP_CASES = [
+    # the aggregation's 11-tap depthwise convs on a 4x4 map: taps 0-1 and 9-10 are dead
+    dict(x=(2, 4, 4, 4), w=(4, 1, 11, 1), stride=1, padding=(5, 0), dilation=1, groups=4, bias=False),
+    dict(x=(2, 4, 4, 4), w=(4, 1, 1, 11), stride=1, padding=(0, 5), dilation=1, groups=4, bias=True),
+    # dead on one side only: tap row 0 and tap column 0; tap column 3 is dead
+    # but inside the kept range
+    dict(x=(2, 3, 6, 2), w=(4, 3, 5, 5), stride=(2, 3), padding=(3, 4), dilation=(2, 1),
+         groups=1, bias=True),
+    # the one kept tap reads rows and columns 1-2; the input border is never read
+    dict(x=(2, 3, 4, 4), w=(2, 3, 3, 3), stride=1, padding=3, dilation=4, groups=1, bias=False),
+]
+
 CONV_CASES = [
     dict(x=(1, 1, 5, 5), w=(1, 1, 3, 3), stride=1, padding=0, dilation=1, groups=1, bias=False),
     dict(x=(2, 3, 6, 7), w=(4, 3, 3, 3), stride=1, padding=1, dilation=1, groups=1, bias=True),
@@ -260,7 +295,7 @@ CONV_CASES = [
     dict(x=(3, 4, 5, 7), w=(4, 1, 1, 5), stride=1, padding=(0, 2), dilation=1, groups=4, bias=False),
     dict(x=(2, 5, 5, 6), w=(3, 5, 1, 1), stride=2, padding=0, dilation=1, groups=1, bias=True),
     dict(x=(3, 4, 7, 6), w=(2, 4, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=True),
-]
+] + DEAD_TAP_CASES
 
 
 @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: f"w{c['w']}g{c['groups']}s{c['stride']}")
@@ -280,6 +315,35 @@ def test_conv2d_matches_loop_oracle(case):
     )
     assert got.shape == want.shape
     assert np.allclose(got.data, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", DEAD_TAP_CASES, ids=lambda c: f"w{c['w']}s{c['stride']}")
+def test_conv2d_dead_taps_get_exactly_zero_weight_gradient(case):
+    def pair(v):
+        return v if isinstance(v, tuple) else (v, v)
+
+    stride, padding, dilation = pair(case["stride"]), pair(case["padding"]), pair(case["dilation"])
+    x = rnd(31, case["x"])
+    w = rnd(32, case["w"], lo=-1.0, hi=1.0)
+    xt, wt = Tensor(x), Tensor(w)
+    with Graph() as gr:
+        out = conv2d(xt, wt, stride=stride, padding=padding, dilation=dilation,
+                     groups=case["groups"])
+        g = rnd(33, out.shape)
+        loss = sum_all(mul(out, Tensor(g)))
+    grads = gr.backward(loss)
+    want_dx, want_gw = naive_conv2d_grads(x, w, g, stride, padding, dilation, case["groups"])
+
+    # a tap is dead when it reads padding at every output position
+    live = []
+    for n, k, s, p, d, o in zip(x.shape[2:], w.shape[2:], stride, padding, dilation, out.shape[2:]):
+        live.append(np.array([any(0 <= t * s + i * d - p < n for t in range(o)) for i in range(k)]))
+    dead = ~(live[0][:, None] & live[1][None, :])
+    assert dead.any()
+    gw = grads[wt]
+    assert (gw[:, :, dead] == 0.0).all()
+    assert np.allclose(gw[:, :, ~dead], want_gw[:, :, ~dead], atol=1e-12)
+    assert np.allclose(grads[xt], want_dx, atol=1e-12)
 
 
 def test_conv2d_rejects_bad_geometry():

@@ -21,7 +21,6 @@ from cpnet.train import (
     predict_labels,
     predict_scene_probs,
     predict_probs,
-    predict_window_probs,
     save_model,
     scene_config,
     train,
@@ -142,7 +141,7 @@ def test_single_window_eval_equals_direct_forward():
     scene = val_scenes(cfg)[0]
 
     probs = predict_scene_probs(model, scene.image, cfg.crop)
-    direct = predict_window_probs(model, scene.image)
+    direct = predict_probs(model, scene.image, cfg.crop)
     assert np.array_equal(probs, direct)
 
     labels = predict_labels(model, scene.image, cfg.crop)
@@ -185,7 +184,7 @@ def test_tiling_pads_and_crops_back():
     assert probs.shape == (cfg.num_classes, 20, 20)
     assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-6)
     # padding only grows bottom/right, so the first tile is untouched input
-    direct = predict_window_probs(model, img[:, :16, :16])
+    direct = predict_probs(model, img[:, :16, :16], cfg.crop)
     assert np.array_equal(probs[:, :16, :16], direct)
 
 
