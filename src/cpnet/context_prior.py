@@ -51,8 +51,6 @@ class FullySeparableConv:
         self.pointwise = Conv2d(
             name + ".pw", cin, cout, 1, 1, bias=False, seed=seed, dtype=dtype,
         )
-        self.k = k
-        self.orientation = orientation
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return self.pointwise(self.depthwise(x))
@@ -70,8 +68,6 @@ class AggregationModule:
         self.bn1 = BatchNorm2d(name + ".bn1", cout, dtype)
         self.fs2 = FullySeparableConv(name + ".fs2", cout, cout, k, "horizontal", seed, dtype)
         self.bn2 = BatchNorm2d(name + ".bn2", cout, dtype)
-        self.k = k
-        self.cin, self.cout = cin, cout
 
     def __call__(self, x: T.Tensor, mode: str) -> T.Tensor:
         h = T.relu(self.bn1(self.fs1(x), mode))

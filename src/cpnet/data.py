@@ -13,7 +13,7 @@ Everything random comes from the documented generator in `rng`, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -43,8 +44,6 @@ def cpt_bytes(arr: np.ndarray) -> bytes:
     dt = arr.dtype.newbyteorder("<")
     if dt not in _DTYPE_CODES:
         raise ShapeError(f"CPT1 cannot hold dtype {arr.dtype}")
-    if arr.ndim > 255:
-        raise ShapeError("CPT1 rank limit exceeded")
     head = MAGIC + bytes([_DTYPE_CODES[dt], arr.ndim])
     dims = b"".join(int(d).to_bytes(4, "little") for d in arr.shape)
     return head + dims + arr.astype(dt, copy=False).tobytes()
@@ -63,6 +62,8 @@ def read_cpt(path: str) -> np.ndarray:
     code, rank = blob[4], blob[5]
     if code not in _CODE_DTYPES:
         raise FormatError(f"{path}: unknown dtype code {code}")
+    if rank > 64:
+        raise FormatError(f"{path}: rank {rank} exceeds numpy's limit of 64")
     dims = [
         int.from_bytes(blob[6 + 4 * i:10 + 4 * i], "little") for i in range(rank)
     ]
@@ -110,18 +111,31 @@ def save_checkpoint(
     rng_state: tuple[int, int, int, int],
     config_text: str,
 ) -> None:
-    os.makedirs(os.path.join(path, "tensors"), exist_ok=True)
+    """Write to ``<path>.tmp``, then swap it in for any checkpoint at ``path``
+    (renamed to ``<path>.old``, then deleted): a failed write leaves it as it was."""
+    path = os.path.normpath(path)
+    tmp, old = path + ".tmp", path + ".old"
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
     lines = [f"step = {step}", "rng = " + " ".join(f"{s:016x}" for s in rng_state)]
-    for name in sorted(tensors):
-        arr = tensors[name]
-        dt = _DTYPE_CODES[arr.dtype.newbyteorder("<")]
-        shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        lines.append(f"tensor {name} {_DTYPE_NAMES[dt]} {shape}")
-        write_cpt(os.path.join(path, "tensors", name + ".cpt"), arr)
-    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(os.path.join(path, "config.txt"), "w", encoding="utf-8") as f:
-        f.write(config_text)
+    try:
+        os.makedirs(os.path.join(tmp, "tensors"))
+        for name in sorted(tensors):
+            arr = tensors[name]
+            dt = _DTYPE_CODES[arr.dtype.newbyteorder("<")]
+            shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
+            lines.append(f"tensor {name} {_DTYPE_NAMES[dt]} {shape}")
+            write_cpt(os.path.join(tmp, "tensors", name + ".cpt"), arr)
+        with open(os.path.join(tmp, "manifest.txt"), "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        with open(os.path.join(tmp, "config.txt"), "w", encoding="utf-8") as f:
+            f.write(config_text)
+        if os.path.isdir(path):
+            os.replace(path, old)
+        os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:

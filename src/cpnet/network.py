@@ -103,10 +103,6 @@ class CPNet:
     ):
         self.num_classes = int(num_classes)
         self.feat_hw = int(feat_hw)
-        self.k = int(k)
-        self.use_context_prior = bool(use_context_prior)
-        self.dtype = dtype
-        self.seed = int(seed)
         self.backbone = ToyBackbone(widths, seed, dtype)
         c0 = self.backbone.widths[-1]
         self.c0 = c0

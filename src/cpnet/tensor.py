@@ -451,26 +451,17 @@ def conv2d_output_size(size: int, kernel: int, stride: int, pad: int, dilation: 
     return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
 
 
-_CONV_PLANS: dict[tuple, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _conv_scatter_indices(c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw) -> np.ndarray:
     """Flat offsets into one padded (c, hp, wp) image, in (c, kh, kw, oh, ow) order."""
-    key = (c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
-    idx = _CONV_PLANS.get(key)
-    if idx is None:
-        rows = np.arange(kh)[:, None] * dh + np.arange(oh)[None, :] * sh  # (kh,oh)
-        cols = np.arange(kw)[:, None] * dw + np.arange(ow)[None, :] * sw  # (kw,ow)
-        idx = (
-            (np.arange(c) * hp * wp)[:, None, None, None, None]
-            + (rows * wp)[None, :, None, :, None]
-            + cols[None, None, :, None, :]
-        )  # (c, kh, kw, oh, ow)
-        idx = np.ascontiguousarray(idx.reshape(-1))
-        if len(_CONV_PLANS) > 256:
-            _CONV_PLANS.clear()
-        _CONV_PLANS[key] = idx
-    return idx
+    rows = np.arange(kh)[:, None] * dh + np.arange(oh)[None, :] * sh  # (kh,oh)
+    cols = np.arange(kw)[:, None] * dw + np.arange(ow)[None, :] * sw  # (kw,ow)
+    idx = (
+        (np.arange(c) * hp * wp)[:, None, None, None, None]
+        + (rows * wp)[None, :, None, :, None]
+        + cols[None, None, :, None, :]
+    )  # (c, kh, kw, oh, ow)
+    return np.ascontiguousarray(idx.reshape(-1))
 
 
 @functools.lru_cache(maxsize=256)
@@ -537,11 +528,11 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     cg = cin // groups
     og = cout // groups
     k = cg * kh * kw
-    # cols: (groups, cg*kh*kw, B, oh*ow), copied from a strided
-    # (B, Cin, oh, ow, kh, kw) view with the output pixels innermost.
-    win = np.lib.stride_tricks.sliding_window_view(
-        xp[:, :, r0:, c0:], (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3)
-    )[:, :, ::sh, ::sw, ::dh, ::dw][:, :, :oh, :ow]
+    # cols: (groups, cg*kh*kw, B, oh*ow) with the output pixels innermost.
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp[:, :, r0:, c0:], (bsz, cin, oh, ow, kh, kw),
+        (s0, s1, sh * s2, sw * s3, dh * s2, dw * s3), writeable=False)
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
         groups, k, bsz, oh * ow
     )

@@ -112,35 +112,33 @@ def load_model(path: str) -> tuple[CPNet, TrainConfig, int]:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the class axis of (C,H,W) or (n,C,H,W) logits."""
-    z = logits - logits.max(axis=-3, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-3, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the class axis of (..., C, H, W) logits, in place on ``z``."""
+    z -= z.max(axis=-3, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-3, keepdims=True)
+    return z
 
 
 def predict_probs(model: CPNet, img: np.ndarray, window: int) -> np.ndarray:
-    """Tile an arbitrary image with non-overlapping crop-sized windows.
+    """Tile images of shape (..., C, H, W) with non-overlapping crop-sized windows.
 
     The prior head fixes the window size, so images are zero-padded up to
-    a multiple of the window and cut into tiles.  All tiles go through one
-    eval-mode forward (a tile's output does not depend on its batch mates)
-    and are reassembled and cropped back.
+    a multiple of the window and cut into tiles.  The tiles of all images
+    go through one eval-mode forward (a tile's output does not depend on
+    its batch mates) and are reassembled and cropped back to
+    (..., classes, H, W).
     """
-    c, h, w = img.shape
+    *lead, c, h, w = img.shape
     ny, nx = max(1, -(-h // window)), max(1, -(-w // window))
     hp, wp = ny * window, nx * window
-    if (hp, wp) != (h, w):
-        padded = np.zeros((c, hp, wp), dtype=img.dtype)
-        padded[:, :h, :w] = img
-    else:
-        padded = img
-    tiles = padded.reshape(c, ny, window, nx, window).transpose(1, 3, 0, 2, 4)
-    tiles = tiles.reshape(ny * nx, c, window, window).astype(np.float32, copy=False)
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(0, hp - h), (0, wp - w)])
+    tiles = padded.reshape(-1, c, ny, window, nx, window).transpose(0, 2, 4, 1, 3, 5)
+    tiles = tiles.reshape(-1, c, window, window).astype(np.float32, copy=False)
     logits, _aux, _p = model.forward(T.Tensor(tiles), mode="eval")
     probs = _softmax(logits.data.astype(np.float64))
-    probs = probs.reshape(ny, nx, -1, window, window).transpose(2, 0, 3, 1, 4)
-    return probs.reshape(-1, hp, wp)[:, :h, :w]
+    probs = probs.reshape(-1, ny, nx, *probs.shape[1:]).transpose(0, 3, 1, 4, 2, 5)
+    return probs.reshape(*lead, -1, hp, wp)[..., :h, :w]
 
 
 def predict_scene_probs(
@@ -150,26 +148,23 @@ def predict_scene_probs(
     scales=(1.0,),
     flip: bool = False,
 ) -> np.ndarray:
-    """Average probabilities over scaled (and optionally flipped) passes."""
+    """Average probabilities over scaled (and optionally flipped) passes. A scaled
+    image and its mirror share one forward; the unflipped pass is summed first."""
     _, h0, w0 = image.shape
     acc = np.zeros((model.num_classes, h0, w0))
-    passes = 0
     for s in scales:
         hs = max(int(round(h0 * s)), 1)
         ws = max(int(round(w0 * s)), 1)
         scaled = image if (hs, ws) == (h0, w0) else resize_image(image, hs, ws).astype(np.float32)
-        variants = [False, True] if flip else [False]
-        for do_flip in variants:
-            inp = scaled[:, :, ::-1] if do_flip else scaled
-            probs = predict_probs(model, np.ascontiguousarray(inp), window)
+        variants = np.stack([scaled, scaled[:, :, ::-1]]) if flip else scaled[None]
+        for do_flip, probs in enumerate(predict_probs(model, variants, window)):
             if do_flip:
                 probs = probs[:, :, ::-1]
             if (hs, ws) != (h0, w0):
                 probs = resize_image(probs, h0, w0)
                 probs /= probs.sum(axis=0, keepdims=True)
             acc += probs
-            passes += 1
-    return acc / passes
+    return acc / (len(scales) * (2 if flip else 1))
 
 
 def predict_labels(model, image, window, scales=(1.0,), flip=False) -> LabelMap:

@@ -1,10 +1,14 @@
 """Binary container, image writers, checkpoint and dataset directories."""
 
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cpnet import fileio
 from cpnet.data import SceneConfig, gen_synthetic_scene
 from cpnet.fileio import (
     MAGIC,
@@ -96,6 +100,56 @@ def test_cpt_read_short_header_is_a_format_error(tmp_path):
             f.write(blob)
         with pytest.raises(FormatError, match="not a CPT1"):
             read_cpt(path)
+
+
+def test_cpt_read_rank_above_numpy_limit_is_a_format_error(tmp_path):
+    path = str(tmp_path / "r.cpt")
+    with open(path, "wb") as f:
+        f.write(MAGIC + bytes([0, 70]) + (1).to_bytes(4, "little") * 70 + bytes(4))
+    with pytest.raises(FormatError, match="rank 70"):
+        read_cpt(path)
+
+
+VALID_BLOBS = [cpt_bytes(sample(dt, shape)) for dt in DTYPES for shape in [(), (3,), (2, 3)]]
+
+
+@st.composite
+def cpt_headers(draw):
+    """MAGIC, any dtype code and rank, small dims, and a payload of about the right size."""
+    code, rank = draw(st.integers(0, 5)), draw(st.integers(0, 255))
+    dims = draw(st.lists(st.sampled_from([0, 1, 1, 1, 2]), min_size=rank, max_size=rank))
+    size = math.prod(dims) * (4, 8, 4, 1, 1, 1)[code]
+    size = min(size, 64) + draw(st.sampled_from([-1, 0, 0, 1]))
+    head = MAGIC + bytes([code, rank]) + b"".join(d.to_bytes(4, "little") for d in dims)
+    return head + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+
+
+@st.composite
+def damaged_blobs(draw):
+    """A valid blob cut short, or with one byte overwritten."""
+    blob = draw(st.sampled_from(VALID_BLOBS))
+    i = draw(st.integers(0, len(blob) - 1))
+    if draw(st.booleans()):
+        return blob[:i]
+    return blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "blob.cpt")
+
+
+@given(blob=st.one_of(st.binary(max_size=80), cpt_headers(), damaged_blobs()))
+def test_cpt_read_fuzzed_blob_is_format_error_or_exact(fuzz_path, blob):
+    """Garbage raises FormatError (or OSError), never a numpy exception; a
+    blob that does load is exactly the canonical encoding of what it yields."""
+    with open(fuzz_path, "wb") as f:
+        f.write(blob)
+    try:
+        arr = read_cpt(fuzz_path)
+    except (FormatError, OSError):
+        return
+    assert cpt_bytes(arr) == blob
 
 
 def test_pgm_golden_bytes(tmp_path):
@@ -221,6 +275,58 @@ def test_checkpoint_unparsable_manifest_value_is_a_format_error(tmp_path, bad_li
         f.write("\n".join(lines + [bad_line]) + "\n")
     with pytest.raises(FormatError, match="manifest"):
         load_checkpoint(path)
+
+
+def test_checkpoint_overwrite_replaces_the_directory(tmp_path):
+    tensors, step, rng_state, text = ckpt_fixture()
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, tensors, step, rng_state, text)
+    newer = {name: arr + 1 for name, arr in tensors.items() if name != "meta.count"}
+    save_checkpoint(path, newer, step + 1, rng_state, text)
+    got, got_step, _rng, _text = load_checkpoint(path)
+    assert got_step == step + 1 and set(got) == set(newer)
+    assert all(np.array_equal(got[name], newer[name]) for name in newer)
+    assert os.listdir(tmp_path) == ["ckpt"]
+    assert not os.path.exists(os.path.join(path, "tensors", "meta.count.cpt"))
+
+
+def fail_on_second_write(monkeypatch):
+    written = []
+    real = fileio.write_cpt
+
+    def write_cpt(path, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        real(path, arr)
+
+    monkeypatch.setattr(fileio, "write_cpt", write_cpt)
+
+
+def test_checkpoint_write_failing_midway_keeps_the_old_one(tmp_path, monkeypatch):
+    tensors, step, rng_state, text = ckpt_fixture()
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, tensors, step, rng_state, text)
+    before = read_tree(path)
+
+    fail_on_second_write(monkeypatch)
+    newer = {name: arr + 1 for name, arr in tensors.items()}
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, newer, step + 1, rng_state, text)
+
+    assert read_tree(path) == before
+    got, got_step, _rng, _text = load_checkpoint(path)
+    assert got_step == step
+    assert all(np.array_equal(got[name], tensors[name]) for name in tensors)
+    assert os.listdir(tmp_path) == ["ckpt"]
+
+
+def test_checkpoint_write_failing_midway_leaves_no_new_directory(tmp_path, monkeypatch):
+    tensors, step, rng_state, text = ckpt_fixture()
+    fail_on_second_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(str(tmp_path / "ckpt"), tensors, step, rng_state, text)
+    assert os.listdir(tmp_path) == []
 
 
 def test_checkpoint_requires_all_blobs(tmp_path):

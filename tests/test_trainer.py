@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from cpnet.data import ConfusionMatrix, SyntheticScene, gen_synthetic_scene
+from cpnet.data import ConfusionMatrix, SyntheticScene, gen_synthetic_scene, resize_image
 from cpnet.fileio import load_checkpoint
 from cpnet.labelmap import LabelMap
 from cpnet.network import CPNet
@@ -201,13 +201,43 @@ def count_forwards(monkeypatch):
     return batches
 
 
-def test_multiscale_flip_eval_runs_one_forward_per_pass(monkeypatch):
+def test_multiscale_flip_eval_runs_one_forward_per_scale(monkeypatch):
     cfg = tiny_config(crop=32, scene_size=32)
     model = build_model(cfg)
     scene = val_scenes(cfg)[0]
     batches = count_forwards(monkeypatch)
     predict_scene_probs(model, scene.image, cfg.crop, scales=(2.0, 2.5, 3.0), flip=True)
-    assert batches == [4, 4, 9, 9, 9, 9]  # 64, 80, 96 px: 2x2, 3x3, 3x3 windows
+    assert batches == [8, 18, 18]  # 64, 80, 96 px: 2x2, 3x3, 3x3 windows per flip
+
+
+def test_multiscale_flip_eval_equals_one_pass_per_scale_and_flip():
+    """Stacking the flip pair into one forward changes no bit of the average."""
+    cfg = tiny_config(crop=32, scene_size=32)
+    model = build_model(cfg)
+    image = val_scenes(cfg)[0].image
+    scales = (2.0, 2.5, 3.0)
+
+    acc = np.zeros((cfg.num_classes,) + image.shape[1:])
+    for s in scales:
+        scaled = resize_image(image, int(32 * s), int(32 * s)).astype(np.float32)
+        for do_flip in (False, True):
+            inp = np.ascontiguousarray(scaled[:, :, ::-1]) if do_flip else scaled
+            probs = predict_probs(model, inp, cfg.crop)
+            probs = resize_image(probs[:, :, ::-1] if do_flip else probs, 32, 32)
+            probs /= probs.sum(axis=0, keepdims=True)
+            acc += probs
+    got = predict_scene_probs(model, image, cfg.crop, scales=scales, flip=True)
+    assert np.array_equal(got, acc / (2 * len(scales)))
+
+
+def test_predict_probs_takes_leading_axes():
+    cfg = tiny_config()
+    model = build_model(cfg)
+    imgs = np.stack([np.tile(val_scenes(cfg)[i].image, (1, 2, 2))[:, :20, :28] for i in range(4)])
+    stacked = predict_probs(model, imgs.reshape(2, 2, 3, 20, 28), cfg.crop)
+    assert stacked.shape == (2, 2, cfg.num_classes, 20, 28)
+    for i, img in enumerate(imgs):
+        assert np.array_equal(stacked[i // 2, i % 2], predict_probs(model, img, cfg.crop))
 
 
 def test_tiled_prediction_is_one_forward(monkeypatch):
