@@ -1,10 +1,11 @@
 """Ideal affinity targets and the loss that supervises a predicted prior map.
 
-The affinity target for an H x W label grid is the N x N binary matrix
-(N = H*W, flattened row-major) whose (j, i) entry is 1 exactly when pixels
-j and i carry the same class and neither is ignored.  The loss on a
-predicted prior map P combines a per-entry binary cross-entropy with
-row-wise precision / recall / specificity log terms.
+The affinity target for an H x W label grid is the N x N boolean matrix
+(N = H*W, flattened row-major) whose (j, i) entry is true exactly when
+pixels j and i carry the same class and neither is ignored.  It stays
+boolean all the way into the loss terms, which each stack it once.  The
+loss on a predicted prior map P combines a per-entry binary cross-entropy
+with row-wise precision / recall / specificity log terms.
 
 Ignored pixels contribute nothing anywhere: their rows and columns are
 excluded from every sum and from the normalizing counts.
@@ -18,7 +19,6 @@ N x N intermediates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +43,9 @@ def downsample_labels(gt: LabelMap, out_h: int, out_w: int) -> LabelMap:
 
 @dataclass
 class IdealAffinityMap:
-    """Binary same-class pair matrix plus the validity mask of its pixels."""
+    """Same-class pair matrix plus the validity mask of its pixels."""
 
-    values: np.ndarray  # (N, N) float64 in {0, 1}
+    values: np.ndarray  # (N, N) bool, restricted to valid pairs
     valid: np.ndarray  # (N,) bool
 
     @property
@@ -60,26 +60,17 @@ def ideal_affinity_map(gt_small: LabelMap, num_classes: int) -> IdealAffinityMap
     gt_small.validate_classes(num_classes)
     lab = gt_small.labels.reshape(-1)
     valid = gt_small.valid.reshape(-1)
-    values = (lab[:, None] == lab[None, :]) & valid[:, None]
-    return IdealAffinityMap(values.astype(np.float64), valid)
+    return IdealAffinityMap((lab[:, None] == lab[None, :]) & valid[:, None], valid)
 
 
 def affinity_image(a: IdealAffinityMap) -> np.ndarray:
     """8-bit rendering (0/255) for PGM export."""
-    return (a.values * 255).astype(np.uint8)
-
-
-class _Stacked(NamedTuple):
-    """A batch's targets as ``_stack`` returns them, for a second loss term."""
-
-    a: np.ndarray  # (B, N, N) bool, restricted to valid pairs
-    valid: np.ndarray  # (B, N) bool
+    return a.values.astype(np.uint8) * 255
 
 
 def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize (p, maps) to batched form: (B,N,N) prior, boolean targets
-    restricted to valid pairs, (B,N) validity.  ``maps`` may also be the
-    ``_Stacked`` targets of an earlier call, which are used as they are."""
+    restricted to valid pairs, (B,N) validity."""
     if not isinstance(p, Tensor):
         raise TypeError("prior map must be a Tensor")
     pd = p.data
@@ -87,10 +78,6 @@ def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pd = pd[None]
     if pd.ndim != 3 or pd.shape[1] != pd.shape[2]:
         raise ShapeError(f"prior map must be NxN or BxNxN, got {p.shape}")
-    if isinstance(maps, _Stacked):
-        if maps.a.shape != pd.shape:
-            raise ShapeError(f"targets are {maps.a.shape} but prior map is {pd.shape}")
-        return pd, maps.a, maps.valid
     if isinstance(maps, IdealAffinityMap):
         maps = [maps]
     else:
@@ -102,7 +89,7 @@ def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if m.n != n:
             raise ShapeError(f"target is {m.n}x{m.n} but prior map is {n}x{n}")
     valid = np.stack([m.valid for m in maps])
-    a = np.stack([m.values.astype(bool) for m in maps])
+    a = np.stack([m.values for m in maps])
     a &= valid[:, :, None]
     a &= valid[:, None, :]
     return pd, a, valid
@@ -229,9 +216,8 @@ def affinity_loss(p: Tensor, maps, lambda_u: float = 1.0, lambda_g: float = 1.0)
     """Weighted sum of the unary and global terms; gradient flows through both."""
     from .tensor import add, scale
 
-    targets = _Stacked(*_stack(p, maps)[1:])  # stacked once for both terms
-    unary = unary_affinity_loss(p, targets)
-    glob, gt = global_affinity_loss(p, targets)
+    unary = unary_affinity_loss(p, maps)
+    glob, gt = global_affinity_loss(p, maps)
     total = add(scale(unary, lambda_u), scale(glob, lambda_g))
     return AffinityLossTerms(
         unary=unary,

@@ -33,6 +33,21 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def _central_differences(flat: np.ndarray, loss: Callable[[], float], h: float) -> np.ndarray:
+    """(loss(x + h e_i) - loss(x - h e_i)) / 2h for every entry i of ``flat``,
+    perturbing it in place and restoring it after each entry."""
+    fd = np.zeros(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss()
+        flat[i] = orig - h
+        lm = loss()
+        flat[i] = orig
+        fd[i] = (lp - lm) / (2 * h)
+    return fd
+
+
 def fd_check(build: Callable, trials: int = 20, h: float = H_STEP, seed: int = 0) -> float:
     """Max relative error between tape gradients and central differences.
 
@@ -56,16 +71,7 @@ def fd_check(build: Callable, trials: int = 20, h: float = H_STEP, seed: int = 0
             analytic = grads.get(tk)
             if analytic is None:
                 analytic = np.zeros_like(arr)
-            fd = np.zeros(arr.size)
-            flat = arr.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                lp = eval_loss()
-                flat[i] = orig - h
-                lm = eval_loss()
-                flat[i] = orig
-                fd[i] = (lp - lm) / (2 * h)
+            fd = _central_differences(arr.reshape(-1), eval_loss, h)
             worst = max(worst, rel_err(np.asarray(analytic).reshape(-1), fd))
     return worst
 
@@ -350,16 +356,7 @@ def full_model_check(progress: Callable[[str], None] | None = None) -> float:
 
     worst = 0.0
     for param in params:
-        flat = param.value.data.reshape(-1)
-        fd = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + H_STEP
-            lp = loss_value()
-            flat[i] = orig - H_STEP
-            lm = loss_value()
-            flat[i] = orig
-            fd[i] = (lp - lm) / (2 * H_STEP)
+        fd = _central_differences(param.value.data.reshape(-1), loss_value, H_STEP)
         err = rel_err(param.grad.data.reshape(-1), fd)
         worst = max(worst, err)
         if progress is not None:

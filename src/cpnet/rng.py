@@ -5,8 +5,9 @@ generators so that fixtures and golden files are portable across machines:
 
 * ``Rng`` -- a sequential xoshiro256** generator whose 4-word state is
   seeded from consecutive outputs of a splitmix64 stream.  Used for all
-  scalar decisions (shape placement, augmentation choices, ...).  Its state
-  is 4 unsigned 64-bit words and can be saved/restored exactly.
+  scalar decisions (shape placement, augmentation choices, ...); it draws
+  only integers and uniforms.  Its state is 4 unsigned 64-bit words and
+  nothing else, so it can be saved/restored exactly.
 
 * ``bulk_u64`` -- a counter-mode variant for large arrays (pixel noise).
   Output ``i`` of a call with seed ``s`` is produced by seeding a private
@@ -16,9 +17,10 @@ generators so that fixtures and golden files are portable across machines:
   arrays, and the scalar ``Rng``/``_splitmix64_at`` primitives double as
   its independent oracle.
 
-Floats are derived as ``(u64 >> 11) * 2**-53`` (uniform in [0, 1)) and
-normals via the Box-Muller transform, so the byte-level output of the
-generators fixes every downstream value.
+Floats are derived as ``(u64 >> 11) * 2**-53`` (uniform in [0, 1)), and
+``bulk_normal`` turns counter-mode uniforms into normals by the Box-Muller
+transform, so the byte-level output of the generators fixes every
+downstream value.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ def _rotl(x: int, k: int) -> int:
 class Rng:
     """Sequential xoshiro256** generator, seeded via splitmix64."""
 
-    __slots__ = ("_s", "_spare_normal")
+    __slots__ = ("_s",)
 
     def __init__(self, seed: int):
         seed &= _MASK
         self._s = [_splitmix64_at(seed, k) for k in range(4)]
-        self._spare_normal: float | None = None
 
     def u64(self) -> int:
         s = self._s
@@ -87,21 +88,6 @@ class Rng:
             raise ValueError(f"randint bound must be positive, got {n}")
         return (self.u64() * n) >> 64
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (pairs cached)."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z
-        u1 = (self.u64() >> 11) * _INV_2_53
-        u2 = (self.u64() >> 11) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1-u1 in (0,1] avoids log(0)
-        self._spare_normal = float(r * np.sin(2.0 * np.pi * u2))
-        return float(r * np.cos(2.0 * np.pi * u2))
-
     def state(self) -> tuple[int, int, int, int]:
         return tuple(self._s)
 
@@ -109,7 +95,6 @@ class Rng:
         if len(state) != 4:
             raise ValueError("xoshiro256 state must be 4 words")
         self._s = [int(w) & _MASK for w in state]
-        self._spare_normal = None
 
 
 def bulk_u64(seed: int, n: int) -> np.ndarray:

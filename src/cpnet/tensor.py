@@ -81,27 +81,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def is_float(self) -> bool:
         return self.dtype in _FLOAT_NAMES
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-    # Sugar used by loss code; all delegate to module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def zeros(shape, dtype="float32") -> Tensor:
@@ -681,31 +665,25 @@ def _channel_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Bilinear upsampling
 # ---------------------------------------------------------------------------
 
-_BILINEAR_MATS: dict[tuple, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def bilinear_matrix(in_size: int, out_size: int, dtype=np.float64) -> np.ndarray:
     """Interpolation matrix W (out x in) under the half-pixel-center convention.
 
     Output sample i reads source position (i + 0.5) * in/out - 0.5; edge
-    neighbours are clamped (constant extrapolation).
+    neighbours are clamped (constant extrapolation).  The matrix is cached
+    and shared, so it is returned read-only.
     """
-    key = (in_size, out_size, np.dtype(dtype))
-    w = _BILINEAR_MATS.get(key)
-    if w is None:
-        w = np.zeros((out_size, in_size), dtype=dtype)
-        ratio = in_size / out_size
-        for i in range(out_size):
-            pos = (i + 0.5) * ratio - 0.5
-            i0 = int(np.floor(pos))
-            t = pos - i0
-            lo = min(max(i0, 0), in_size - 1)
-            hi = min(max(i0 + 1, 0), in_size - 1)
-            w[i, lo] += 1.0 - t
-            w[i, hi] += t
-        if len(_BILINEAR_MATS) > 256:
-            _BILINEAR_MATS.clear()
-        _BILINEAR_MATS[key] = w
+    w = np.zeros((out_size, in_size), dtype=dtype)
+    ratio = in_size / out_size
+    for i in range(out_size):
+        pos = (i + 0.5) * ratio - 0.5
+        i0 = int(np.floor(pos))
+        t = pos - i0
+        lo = min(max(i0, 0), in_size - 1)
+        hi = min(max(i0 + 1, 0), in_size - 1)
+        w[i, lo] += 1.0 - t
+        w[i, hi] += t
+    w.flags.writeable = False
     return w
 
 

@@ -127,7 +127,7 @@ def test_criterion_2_loss_zero_points():
                 labs.flat[idx] = rng.randint(3)
         labs.flat[0] = 0
         amap = ideal_affinity_map(LabelMap(labs), 3)
-        p = Tensor(amap.values[None].copy())
+        p = Tensor(amap.values[None].astype(np.float64))
         worst_u = max(worst_u, unary_affinity_loss(p, [amap]).item())
         lg, _terms = global_affinity_loss(p, [amap])
         worst_g = max(worst_g, lg.item())

@@ -128,6 +128,7 @@ def test_ideal_affinity_matches_brute_force(seed, side, classes):
     gt = random_labels(seed, side, classes)
     got = ideal_affinity_map(gt, classes)
     want_values, want_valid = brute_force_affinity(gt.labels, IGNORE_INDEX)
+    assert got.values.dtype == np.bool_
     assert np.array_equal(got.values, want_values)
     assert np.array_equal(got.valid, want_valid)
 
@@ -177,7 +178,7 @@ def test_unary_loss_accepts_a_single_map():
 
 def test_unary_loss_at_the_target_is_nearly_zero():
     m = ideal_affinity_map(random_labels(17, 4, 3), 3)
-    loss = unary_affinity_loss(Tensor(m.values[None]), [m]).item()
+    loss = unary_affinity_loss(Tensor(m.values[None].astype(np.float64)), [m]).item()
     assert 0.0 <= loss <= 3e-6
 
 
@@ -223,7 +224,7 @@ def test_unary_gradient_is_gated_by_the_clamp():
 
 
 def test_unary_loss_rejects_fully_ignored_images():
-    m = IdealAffinityMap(np.zeros((4, 4)), np.zeros(4, dtype=bool))
+    m = IdealAffinityMap(np.zeros((4, 4), dtype=bool), np.zeros(4, dtype=bool))
     with pytest.raises(NumericError):
         unary_affinity_loss(Tensor(random_prior(12, 4)), [m])
 
@@ -241,7 +242,7 @@ def test_global_loss_matches_oracle():
 
 def test_global_loss_at_the_target_is_nearly_zero():
     m = ideal_affinity_map(random_labels(18, 4, 3), 3)
-    got, _ = global_affinity_loss(Tensor(m.values[None]), [m])
+    got, _ = global_affinity_loss(Tensor(m.values[None].astype(np.float64)), [m])
     assert 0.0 <= got.item() <= 3e-6
 
 

@@ -96,15 +96,6 @@ def test_binary_op_values():
     assert np.allclose(div(a, b).data, a.data / b.data)
 
 
-def test_operator_sugar_routes_to_ops():
-    a = Tensor(rnd(3, (2, 2)))
-    b = Tensor(rnd(4, (2, 2)))
-    assert np.array_equal((a + b).data, add(a, b).data)
-    assert np.array_equal((a - b).data, sub(a, b).data)
-    assert np.array_equal((a * b).data, mul(a, b).data)
-    assert np.array_equal((-a).data, neg(a).data)
-
-
 def test_binary_ops_demand_matching_shapes():
     a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
     for op in (add, sub, mul, div):
@@ -519,6 +510,13 @@ def test_bilinear_matrix_rows_are_convex_weights():
     w = bilinear_matrix(5, 13)
     assert np.allclose(w.sum(axis=1), 1.0)
     assert (w >= 0).all()
+
+
+def test_bilinear_matrix_is_shared_and_read_only():
+    w = bilinear_matrix(3, 6)
+    assert bilinear_matrix(3, 6) is w
+    with pytest.raises(ValueError):
+        w[0, 0] = 2.0
 
 
 def test_bilinear_upsample_equals_matrix_form():
