@@ -9,6 +9,7 @@ same model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -66,21 +67,31 @@ class TrainConfig:
     checkpoint_every: int = 500
 
     def validate(self) -> None:
-        if self.crop % 8 or self.scene_size % 8:
-            raise ConfigError("crop and scene_size must be divisible by 8")
-        if len(self.widths) != 5:
-            raise ConfigError("widths needs exactly 5 entries")
-        for key in ("base_lr", "momentum", "poly_power"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be non-negative")
-        if self.base_lr == 0:
-            raise ConfigError("base_lr must be positive")
-        if self.batch_size < 1 or self.total_iterations < 0:
-            raise ConfigError("batch_size >= 1 and total_iterations >= 0 required")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be at least 2")
-        if self.k % 2 == 0:
-            raise ConfigError("k must be odd")
+        """Raise ConfigError for a config that cannot train or evaluate."""
+        for keys, ok, need in _RULES:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key} must be {need}")
+        if self.max_shape < self.min_shape:
+            raise ConfigError("max_shape must not be below min_shape")
+
+
+# (fields, test, requirement) for TrainConfig.validate; NaN fails every test
+_RULES = (
+    (("crop", "scene_size"), lambda v: v >= 8 and v % 8 == 0, "a positive multiple of 8"),
+    (("widths",), lambda v: len(v) == 5 and min(v) >= 1, "5 positive entries"),
+    (("num_classes",), lambda v: v >= 2, "at least 2"),
+    (("k",), lambda v: v >= 1 and v % 2 == 1, "odd and positive"),
+    (("c1", "batch_size", "min_shape", "val_scenes"), lambda v: v >= 1, "at least 1"),
+    (("total_iterations", "shapes_per_image", "log_every", "eval_every", "checkpoint_every"),
+     lambda v: v >= 0, "non-negative"),
+    (("base_lr",), lambda v: 0 < v < math.inf, "positive and finite"),
+    (("aug_scales", "eval_scales"), lambda v: v and all(0 < s < math.inf for s in v),
+     "non-empty, positive and finite"),
+    (("poly_power", "momentum", "weight_decay", "noise_std", "lambda_s", "lambda_a", "lambda_p",
+      "lambda_u", "lambda_g"), lambda v: 0 <= v < math.inf, "non-negative and finite"),
+    (("flip_prob", "shadow_prob"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
 
 
 def _format_value(v) -> str:
@@ -97,10 +108,8 @@ def _parse_value(text: str, template):
         if low not in ("true", "false"):
             raise ConfigError(f"expected true/false, got {text!r}")
         return low == "true"
-    if isinstance(template, int):
-        return int(text)
-    if isinstance(template, float):
-        return float(text)
+    if isinstance(template, (int, float)):
+        return type(template)(text)
     if isinstance(template, tuple):
         elem = template[0] if template else 0.0
         parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -128,8 +137,6 @@ def parse_config(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             setattr(cfg, key, _parse_value(value, known[key]))
-        except ConfigError:
-            raise
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from None
     cfg.validate()

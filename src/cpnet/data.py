@@ -8,7 +8,9 @@ touching the labels (intra-class appearance variation), and Gaussian
 pixel noise is added everywhere.
 
 Everything random comes from the documented generator in `rng`, so a
-(seed, config) pair produces bit-identical scenes on any platform.
+(seed, config) pair produces bit-identical scenes on any platform, and
+`gen_synthetic_scenes` builds a batch whose scenes do not depend on their
+batch mates (`gen_synthetic_scene` is the batch of one).
 """
 
 from __future__ import annotations
@@ -79,61 +81,67 @@ def _draw_shape(rng: Rng, img, lab, cls: int, cfg: SceneConfig) -> None:
     h, w = lab.shape
     color = class_color(cls) + (np.array([rng.uniform(), rng.uniform(), rng.uniform()]) - 0.5) * 0.1
     kind = rng.randint(3)
-    yy, xx = np.mgrid[0:h, 0:w]
     if kind == 0:  # rectangle
         sh = cfg.min_shape + rng.randint(cfg.max_shape - cfg.min_shape + 1)
         sw = cfg.min_shape + rng.randint(cfg.max_shape - cfg.min_shape + 1)
         sh, sw = min(sh, h), min(sw, w)
         y0 = rng.randint(h - sh + 1)
         x0 = rng.randint(w - sw + 1)
-        mask = (yy >= y0) & (yy < y0 + sh) & (xx >= x0) & (xx < x0 + sw)
+        region = np.s_[y0:y0 + sh, x0:x0 + sw]
     elif kind == 1:  # disk
         r = (cfg.min_shape + rng.randint(cfg.max_shape - cfg.min_shape + 1)) // 2
         r = max(r, 2)
         cy = r + rng.randint(max(h - 2 * r, 1))
         cx = r + rng.randint(max(w - 2 * r, 1))
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        region = (np.arange(h)[:, None] - cy) ** 2 + (np.arange(w) - cx) ** 2 <= r * r
     else:  # full-span bar
         t = max(cfg.min_shape // 2, 3) + rng.randint(max(cfg.max_shape // 2, 4))
         if rng.randint(2):  # horizontal
             t = min(t, h)
             y0 = rng.randint(h - t + 1)
-            mask = (yy >= y0) & (yy < y0 + t)
+            region = np.s_[y0:y0 + t, :]
         else:
             t = min(t, w)
             x0 = rng.randint(w - t + 1)
-            mask = (xx >= x0) & (xx < x0 + t)
-    img[:, mask] = color[:, None]
-    lab[mask] = cls
+            region = np.s_[:, x0:x0 + t]
+    img.transpose(1, 2, 0)[region] = color  # channels last: one write for slices or a mask
+    lab[region] = cls
 
 
-def gen_synthetic_scene(seed: int, cfg: SceneConfig) -> SyntheticScene:
+def gen_synthetic_scenes(seeds, cfg: SceneConfig) -> list[SyntheticScene]:
+    """One scene per seed: geometry from each seed's own ``Rng``, then one
+    multi-seed noise pass, clip and float32 cast over the whole batch."""
     if cfg.height % 8 or cfg.width % 8:
         raise ShapeError(f"scene size {cfg.height}x{cfg.width} must be divisible by 8")
     if cfg.num_classes < 2:
         raise ValueError("need at least a background and one shape class")
     h, w = cfg.height, cfg.width
-    rng = Rng(derive(seed, _TAG_GEOMETRY))
-
-    img = np.empty((3, h, w), dtype=np.float64)
+    img = np.empty((len(seeds), 3, h, w), dtype=np.float64)
     img[...] = class_color(0)[:, None, None]
-    lab = np.zeros((h, w), dtype=np.int32)
+    lab = np.zeros((len(seeds), h, w), dtype=np.int32)
 
-    for _ in range(cfg.shapes_per_image):
-        cls = 1 + rng.randint(cfg.num_classes - 1)
-        _draw_shape(rng, img, lab, cls, cfg)
+    for im, lb, seed in zip(img, lab, seeds):
+        rng = Rng(derive(seed, _TAG_GEOMETRY))
+        for _ in range(cfg.shapes_per_image):
+            cls = 1 + rng.randint(cfg.num_classes - 1)
+            _draw_shape(rng, im, lb, cls, cfg)
 
-    if rng.uniform() < cfg.shadow_prob:
-        sh = h // 4 + rng.randint(h // 2)
-        sw = w // 4 + rng.randint(w // 2)
-        y0 = rng.randint(h - sh + 1)
-        x0 = rng.randint(w - sw + 1)
-        img[:, y0:y0 + sh, x0:x0 + sw] *= SHADOW_FACTOR
+        if rng.uniform() < cfg.shadow_prob:
+            sh = h // 4 + rng.randint(h // 2)
+            sw = w // 4 + rng.randint(w // 2)
+            y0 = rng.randint(h - sh + 1)
+            x0 = rng.randint(w - sw + 1)
+            im[:, y0:y0 + sh, x0:x0 + sw] *= SHADOW_FACTOR
 
     if cfg.noise_std > 0:
-        img += bulk_normal(derive(seed, _TAG_NOISE), (3, h, w)) * cfg.noise_std
-    np.clip(img, 0.0, 1.0, out=img)
-    return SyntheticScene(img.astype(np.float32), LabelMap(lab), seed)
+        noise = bulk_normal([derive(seed, _TAG_NOISE) for seed in seeds], (3, h, w))
+        img += np.multiply(noise, cfg.noise_std, out=noise)
+    img = np.clip(img, 0.0, 1.0, out=img).astype(np.float32)
+    return [SyntheticScene(im, LabelMap(lb), seed) for im, lb, seed in zip(img, lab, seeds)]
+
+
+def gen_synthetic_scene(seed: int, cfg: SceneConfig) -> SyntheticScene:
+    return gen_synthetic_scenes([seed], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +155,6 @@ class AugmentConfig:
     crop: int = 32
 
 
-def hflip_scene(scene: SyntheticScene) -> SyntheticScene:
-    return SyntheticScene(
-        np.ascontiguousarray(scene.image[:, :, ::-1]),
-        LabelMap(np.ascontiguousarray(scene.labels.labels[:, ::-1]),
-                 scene.labels.ignore_index),
-        scene.seed,
-    )
-
-
 def resize_image(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear, half-pixel centers; img is (C, H, W)."""
     wr = bilinear_matrix(img.shape[1], out_h)
@@ -164,52 +163,37 @@ def resize_image(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def nearest_index(in_size: int, out_size: int) -> np.ndarray:
-    pos = (np.arange(out_size) + 0.5) * (in_size / out_size)
-    return np.clip(np.floor(pos).astype(np.int64), 0, in_size - 1)
+    pos = (np.arange(out_size) + 0.5) * (in_size / out_size)  # positive, so the cast floors
+    return np.minimum(pos.astype(np.int64), in_size - 1)
 
 
 def resize_labels(lab: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    ri = nearest_index(lab.shape[0], out_h)
-    ci = nearest_index(lab.shape[1], out_w)
-    return np.ascontiguousarray(lab[np.ix_(ri, ci)])
-
-
-def scale_scene(scene: SyntheticScene, factor: float) -> SyntheticScene:
-    h = max(int(round(scene.image.shape[1] * factor)), 1)
-    w = max(int(round(scene.image.shape[2] * factor)), 1)
-    img = np.clip(resize_image(scene.image, h, w), 0.0, 1.0).astype(np.float32)
-    lab = resize_labels(scene.labels.labels, h, w)
-    return SyntheticScene(img, LabelMap(lab, scene.labels.ignore_index), scene.seed)
-
-
-def crop_or_pad(scene: SyntheticScene, rng: Rng, crop: int) -> SyntheticScene:
-    """Random crop when larger; top-left placement on an ignore-padded
-    canvas when smaller (mixed per axis is handled)."""
-    img, lab = scene.image, scene.labels.labels
-    h, w = lab.shape
-    ignore = scene.labels.ignore_index
-
-    out_img = np.zeros((3, crop, crop), dtype=np.float32)
-    out_lab = np.full((crop, crop), ignore, dtype=np.int32)
-    y0 = rng.randint(h - crop + 1) if h > crop else 0
-    x0 = rng.randint(w - crop + 1) if w > crop else 0
-    ch, cw = min(h, crop), min(w, crop)
-    out_img[:, :ch, :cw] = img[:, y0:y0 + ch, x0:x0 + cw]
-    out_lab[:ch, :cw] = lab[y0:y0 + ch, x0:x0 + cw]
-    return SyntheticScene(out_img, LabelMap(out_lab, ignore), scene.seed)
+    rows = lab.take(nearest_index(lab.shape[0], out_h), axis=0)
+    return rows.take(nearest_index(lab.shape[1], out_w), axis=1)
 
 
 def augment(scene: SyntheticScene, rng: Rng, cfg: AugmentConfig) -> SyntheticScene:
+    """Random flip, scale and crop, drawn from ``rng`` in that order; only the
+    crop window of the resized image is clipped.  A scene smaller than the
+    crop sits top-left on zeros and ignore labels (mixed per axis too)."""
     if cfg.crop % 8:
         raise ShapeError(f"crop size {cfg.crop} must be divisible by 8")
+    img, lab, ignore = scene.image, scene.labels.labels, scene.labels.ignore_index
     if rng.uniform() < cfg.flip_prob:
-        scene = hflip_scene(scene)
+        img, lab = img[:, :, ::-1], lab[:, ::-1]
     factor = cfg.scales[rng.randint(len(cfg.scales))]
     if factor != 1.0:
-        scene = scale_scene(scene, factor)
-    if scene.labels.labels.shape != (cfg.crop, cfg.crop):
-        scene = crop_or_pad(scene, rng, cfg.crop)
-    return scene
+        h, w = (max(int(round(size * factor)), 1) for size in lab.shape)
+        img, lab = resize_image(img, h, w), resize_labels(lab, h, w)
+    h, w = lab.shape
+    y0 = rng.randint(h - cfg.crop + 1) if h > cfg.crop else 0
+    x0 = rng.randint(w - cfg.crop + 1) if w > cfg.crop else 0
+    ch, cw = min(h, cfg.crop), min(w, cfg.crop)
+    out_img = np.zeros((3, cfg.crop, cfg.crop), dtype=np.float32)
+    out_lab = np.full((cfg.crop, cfg.crop), ignore, dtype=np.int32)
+    np.clip(img[:, y0:y0 + ch, x0:x0 + cw], 0.0, 1.0, out=out_img[:, :ch, :cw])
+    out_lab[:ch, :cw] = lab[y0:y0 + ch, x0:x0 + cw]
+    return SyntheticScene(out_img, LabelMap(out_lab, ignore), scene.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ generators so that fixtures and golden files are portable across machines:
   from 0) of the stream started at ``s`` and emitting a single
   xoshiro256** value.  This is stateless and vectorizes over numpy uint64
   arrays, and the scalar ``Rng``/``_splitmix64_at`` primitives double as
-  its independent oracle.
+  its independent oracle.  ``bulk_u64`` and ``bulk_normal`` also take a
+  1-D array of seeds, giving one row per seed equal to that seed's call.
 
 Floats are derived as ``(u64 >> 11) * 2**-53`` (uniform in [0, 1)), and
 ``bulk_normal`` turns counter-mode uniforms into normals by the Box-Muller
@@ -97,19 +98,21 @@ class Rng:
         self._s = [int(w) & _MASK for w in state]
 
 
-def bulk_u64(seed: int, n: int) -> np.ndarray:
+def bulk_u64(seed, n: int) -> np.ndarray:
     """n counter-mode outputs: one xoshiro256** value per splitmix-seeded lane.
 
-    A fresh state's first xoshiro256** output reads only ``s[1]``, so of
-    lane i's four splitmix64 words only output ``4i+1`` is computed.  The
-    arithmetic runs in place on one array (wrapping uint64).
+    A 1-D array of seeds gives shape (len(seed), n), row j equal to the call
+    on seed j.  A fresh state's first xoshiro256** output reads only ``s[1]``,
+    so of lane i's four splitmix64 words only output ``4i+1`` is computed.
+    The arithmetic runs in place on one array (wrapping uint64).
     """
-    z = np.arange(n, dtype=np.uint64)
+    lead = np.shape(seed)
+    base = [(int(s) + 2 * _GOLDEN) & _MASK for s in (seed if lead else [seed])]
+    # splitmix64 output 4i+1 mixes seed + (4i+2) * golden
+    z = np.arange(n, dtype=np.uint64) * np.uint64((4 * _GOLDEN) & _MASK)
+    z = z + np.array(base, dtype=np.uint64).reshape(lead + (1,))
     t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        # splitmix64 output 4i+1 mixes seed + (4i+2) * golden
-        z *= np.uint64((4 * _GOLDEN) & _MASK)
-        z += np.uint64((seed + 2 * _GOLDEN) & _MASK)
         # the three xor-shifts of mix64; the last multiply is xoshiro's s1 * 5
         for shift, mul in ((30, _MIX1), (27, _MIX2), (31, 5)):
             np.right_shift(z, np.uint64(shift), out=t)
@@ -130,13 +133,18 @@ def bulk_uniform(seed: int, shape) -> np.ndarray:
     return u.reshape(shape)
 
 
-def bulk_normal(seed: int, shape) -> np.ndarray:
-    """Array of standard normals via Box-Muller on counter-mode uniforms."""
+def bulk_normal(seed, shape) -> np.ndarray:
+    """Array of standard normals via Box-Muller on counter-mode uniforms;
+    seeds as in ``bulk_u64``.  Works in place on the uniforms' buffer."""
     n = int(np.prod(shape)) if shape else 1
     m = (n + 1) // 2
-    u = (bulk_u64(seed, 2 * m) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    u1, u2 = u[:m], u[m:]
-    r = np.sqrt(-2.0 * np.log(1.0 - u1))
-    ang = 2.0 * np.pi * u2
-    z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
-    return z.reshape(shape)
+    u = bulk_u64(seed, 2 * m) >> np.uint64(11)
+    u = np.multiply(u, _INV_2_53, out=u.view(np.float64))
+    r, ang = u[..., :m], u[..., m:]  # r = sqrt(-2 log(1 - u1)), ang = 2 pi u2
+    np.log(np.subtract(1.0, r, out=r), out=r)
+    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+    ang *= 2.0 * np.pi
+    cos = np.cos(ang)
+    np.multiply(np.sin(ang, out=ang), r, out=ang)  # the sine terms follow the cosine terms
+    r *= cos
+    return u[..., :n].reshape(np.shape(seed) + tuple(shape))

@@ -22,6 +22,7 @@ from .data import (
     SyntheticScene,
     augment,
     gen_synthetic_scene,
+    gen_synthetic_scenes,
     labels_to_rgb,
     resize_image,
     resize_labels,
@@ -224,7 +225,7 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
     for it in range(cfg.total_iterations):
         step = it + 1
         seeds = [derive(scene_base, it * cfg.batch_size + i) for i in range(cfg.batch_size)]
-        batch = [augment(gen_synthetic_scene(s, sc), aug_rng, ac) for s in seeds]
+        batch = [augment(s, aug_rng, ac) for s in gen_synthetic_scenes(seeds, sc)]
         image = T.Tensor(np.stack([b.image for b in batch]))
         gts = [b.labels for b in batch]
 

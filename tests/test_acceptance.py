@@ -8,8 +8,10 @@ the stock configuration; the fixture takes a few minutes once per run.
 """
 
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,16 +52,27 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def six_runs(tmp_path_factory):
-    """Three seeds x {prior, no-prior} at the stock configuration."""
+    """Three seeds x {prior, no-prior} at the stock configuration.
+
+    The runs are independent and one seed pins every byte of each, so they
+    train in a pool of worker processes (spawned, so no state is inherited).
+    """
     root = tmp_path_factory.mktemp("reference_runs")
-    runs = {}
-    for seed in SEEDS:
-        for use_cp in (True, False):
-            cfg = TrainConfig(seed=seed, use_context_prior=use_cp)
-            out = str(root / f"{'cp' if use_cp else 'plain'}_{seed}")
-            result = train(cfg, out)
-            runs[(seed, use_cp)] = {"cfg": cfg, "dir": out, **result}
-    return runs
+    jobs = {}
+    workers = min(2, os.cpu_count() or 1)
+    spawn = multiprocessing.get_context("spawn")
+    # one BLAS thread per worker: the pool supplies the parallelism, and
+    # workers read the cap from the environment they start with
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("CPNET_THREADS", "1")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            for seed in SEEDS:
+                for use_cp in (True, False):
+                    cfg = TrainConfig(seed=seed, use_context_prior=use_cp)
+                    out = str(root / f"{'cp' if use_cp else 'plain'}_{seed}")
+                    jobs[(seed, use_cp)] = (cfg, out, pool.submit(train, cfg, out))
+    return {key: {"cfg": cfg, "dir": out, **job.result()}
+            for key, (cfg, out, job) in jobs.items()}
 
 
 def read_tree(root):

@@ -131,6 +131,23 @@ def test_bad_config_exits_1(capsys, tmp_path):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0"])
+def test_unusable_config_exits_1_without_a_traceback(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cpnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpnet.cli", "train", "--config", str(path),
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: " + line.split()[0])
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_exits_3(capsys, tmp_path):
     missing = str(tmp_path / "nope.cfg")
     assert entry(["train", "--config", missing, "--out", str(tmp_path / "r")]) == 3

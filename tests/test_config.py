@@ -93,12 +93,70 @@ def test_tuple_fields_parse_comma_lists():
         ("total_iterations", -1),
         ("num_classes", 1),
         ("k", 4),
+        # each below used to pass validation; training then reported the
+        # all-background score, stopped on a non-finite loss, or escaped as a
+        # raw traceback instead of a ConfigError
+        ("eval_scales", ()),
+        ("base_lr", float("nan")),
+        ("crop", 0),
+        ("crop", -8),
+        ("scene_size", 0),
+        ("aug_scales", ()),
+        ("min_shape", 25),
+        ("val_scenes", 0),
+        ("widths", (4, 4, 0, 8, 8)),
+        ("c1", 0),
+        # non-positive or non-finite where no value of that kind makes sense
+        ("base_lr", float("inf")),
+        ("eval_scales", (2.0, 0.0)),
+        ("aug_scales", (1.0, float("nan"))),
+        ("aug_scales", (-0.5,)),
+        ("momentum", float("nan")),
+        ("weight_decay", -1e-4),
+        ("poly_power", float("inf")),
+        ("noise_std", -0.1),
+        ("lambda_a", float("nan")),
+        ("flip_prob", 1.5),
+        ("shadow_prob", float("nan")),
+        ("k", -1),
+        ("min_shape", 0),
+        ("shapes_per_image", -1),
+        ("eval_every", -1),
     ],
 )
 def test_validation_rejects_bad_settings(field, value):
     cfg = dataclasses.replace(TrainConfig(), **{field: value})
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_large_finite_values_stay_valid():
+    dataclasses.replace(TrainConfig(), base_lr=1e25, momentum=0.0, noise_std=0.0,
+                        flip_prob=1.0, shadow_prob=0.0, min_shape=24).validate()
+
+
+_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
+_NUMBER_TEXT = st.one_of(
+    st.integers(-(10 ** 30), 10 ** 30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e400", "0x10", "1_000", "true"]),
+)
+_VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.lists(_NUMBER_TEXT, max_size=6).map(", ".join),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_KEYS), _VALUE_TEXT), max_size=6))
+def test_fuzzed_config_text_is_a_config_error_or_a_valid_config(lines):
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    cfg.validate()
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_parse_validates_the_result():

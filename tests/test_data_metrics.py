@@ -1,5 +1,6 @@
 """Scene synthesis, augmentation, and the ignore-aware metrics."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -15,17 +16,17 @@ from cpnet.data import (
     SceneConfig,
     augment,
     class_color,
-    crop_or_pad,
     gen_synthetic_scene,
-    hflip_scene,
+    gen_synthetic_scenes,
     labels_to_rgb,
     nearest_index,
     resize_labels,
-    scale_scene,
 )
+from cpnet.config import TrainConfig
 from cpnet.labelmap import IGNORE_INDEX, LabelMap
-from cpnet.rng import Rng
+from cpnet.rng import Rng, derive
 from cpnet.tensor import ShapeError
+from cpnet.train import TAG_AUG, TAG_TRAIN_SCENES, augment_config, scene_config, val_scene
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -42,6 +43,18 @@ def test_scenes_are_bit_deterministic():
     assert np.array_equal(a.labels.labels, b.labels.labels)
     c = gen_synthetic_scene(124, cfg)
     assert a.image.tobytes() != c.image.tobytes()
+
+
+def test_batched_scenes_equal_single_scenes():
+    cfg = SceneConfig(shadow_prob=0.5)
+    seeds = [3, 2**64 - 1, 3, 40]
+    batch = gen_synthetic_scenes(seeds, cfg)
+    assert [sc.seed for sc in batch] == seeds
+    for seed, sc in zip(seeds, batch):
+        one = gen_synthetic_scene(seed, cfg)
+        assert sc.image.tobytes() == one.image.tobytes()
+        assert sc.labels.labels.tobytes() == one.labels.labels.tobytes()
+    assert gen_synthetic_scenes([], cfg) == []
 
 
 def test_scene_shapes_and_ranges():
@@ -111,12 +124,17 @@ def test_labels_to_rgb_uses_palette_and_blacks_out_ignores():
 # Augmentation
 # ---------------------------------------------------------------------------
 
+def _fixed(flip: bool = False, scale: float = 1.0, crop: int = 32) -> AugmentConfig:
+    """An augmentation whose flip and scale are fixed; only the crop is drawn."""
+    return AugmentConfig(flip_prob=1.0 if flip else 0.0, scales=(scale,), crop=crop)
+
+
 def test_hflip_is_an_involution():
     sc = gen_synthetic_scene(11, SceneConfig())
-    back = hflip_scene(hflip_scene(sc))
+    back = augment(augment(sc, Rng(0), _fixed(flip=True)), Rng(0), _fixed(flip=True))
     assert np.array_equal(back.image, sc.image)
     assert np.array_equal(back.labels.labels, sc.labels.labels)
-    flipped = hflip_scene(sc)
+    flipped = augment(sc, Rng(0), _fixed(flip=True))
     assert np.array_equal(flipped.image[:, :, 0], sc.image[:, :, -1])
 
 
@@ -149,7 +167,7 @@ def test_upscaled_interior_keeps_labels_and_colors_aligned():
     # image must carry exactly the source color of the pixel the label
     # was copied from
     base = gen_synthetic_scene(5, SceneConfig(noise_std=0.0, shadow_prob=0.0))
-    big = scale_scene(base, 2.0)
+    big = augment(base, Rng(0), _fixed(scale=2.0, crop=64))
     src = base.labels.labels
 
     # a pixel is interior when its whole 8-neighborhood carries the same
@@ -174,9 +192,18 @@ def test_upscaled_interior_keeps_labels_and_colors_aligned():
 
 
 def test_scale_scene_rounds_sizes():
+    # a scaled scene is round(32 * factor) pixels on a side: at 0.75 the
+    # 32 px crop holds 24 x 24 scene pixels and ignore-padding, at 1.5 a
+    # 48 px crop is filled exactly
     sc = gen_synthetic_scene(15, SceneConfig())
-    assert scale_scene(sc, 0.75).image.shape == (3, 24, 24)
-    assert scale_scene(sc, 1.5).labels.labels.shape == (48, 48)
+    small = augment(sc, Rng(0), _fixed(scale=0.75))
+    assert np.array_equal(np.argwhere(small.labels.valid).max(axis=0), [23, 23])
+    assert small.labels.valid[:24, :24].all()
+    rng, probe = Rng(0), Rng(0)
+    big = augment(sc, rng, _fixed(scale=1.5, crop=48))
+    assert big.labels.labels.shape == (48, 48) and big.labels.valid.all()
+    probe.uniform(), probe.randint(1)
+    assert rng.state() == probe.state()  # no crop offset drawn: 48 px fit exactly
 
 
 def test_resize_labels_picks_nearest_source_pixel():
@@ -189,16 +216,17 @@ def test_resize_labels_picks_nearest_source_pixel():
 def test_crop_matches_a_window_of_the_source():
     sc = gen_synthetic_scene(16, SceneConfig())
     probe = Rng(42)
+    probe.uniform(), probe.randint(1)  # the flip and scale draws come first
     y0 = probe.randint(32 - 16 + 1)
     x0 = probe.randint(32 - 16 + 1)
-    out = crop_or_pad(sc, Rng(42), crop=16)
+    out = augment(sc, Rng(42), _fixed(crop=16))
     assert np.array_equal(out.image, sc.image[:, y0:y0 + 16, x0:x0 + 16])
     assert np.array_equal(out.labels.labels, sc.labels.labels[y0:y0 + 16, x0:x0 + 16])
 
 
 def test_pad_fills_with_ignore_and_zeros():
     small = gen_synthetic_scene(17, SceneConfig(height=8, width=8, min_shape=3, max_shape=6))
-    out = crop_or_pad(small, Rng(0), crop=16)
+    out = augment(small, Rng(0), _fixed(crop=16))
     assert out.image.shape == (3, 16, 16)
     assert np.array_equal(out.labels.labels[:8, :8], small.labels.labels)
     assert (out.labels.labels[8:, :] == IGNORE_INDEX).all()
@@ -214,7 +242,41 @@ def test_augment_shrink_path_pads_with_ignore():
     assert out.labels.labels.shape == (32, 32)
     assert (out.labels.labels[16:, :] == IGNORE_INDEX).all()
     assert np.array_equal(out.labels.labels[:16, :16],
-                          scale_scene(sc, 0.5).labels.labels)
+                          resize_labels(sc.labels.labels, 16, 16))
+
+
+# ---------------------------------------------------------------------------
+# The stock data stream, pinned across versions
+# ---------------------------------------------------------------------------
+
+# sha256 of the first stock training batch (as train() builds it), of the
+# augmentation RNG's state words after it, and of validation scene 0.
+# Recorded with the per-scene generator and the copy-based augmentation
+# that the batched generator and crop-direct augmentation replaced.
+STOCK_BATCH_IMAGE_SHA = "d69cee68ba30071db9aa50b835462fc9dba220aa1f7050dd19d9f862ae98a1b6"
+STOCK_BATCH_LABEL_SHA = "b5b8d4271d86527ee5b3c727987f510e3d9986dc9854a1bc718123e3ee0f76cf"
+STOCK_AUG_STATE_SHA = "c48f06c4e8de135f375a51162ef18995f8fff27b437961a32a623dd8ef0ff29b"
+VAL0_IMAGE_SHA = "ff1868a038a9b37e17e775570bd74ab91521103f2044fb7d1c95f2820d08c81c"
+VAL0_LABEL_SHA = "d994fbcdbfc2bf3948cca455c3af37f63dddb7feec956f2318160cd9b0f2eecc"
+
+
+def _sha(arr, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+
+
+def test_stock_data_stream_is_pinned():
+    cfg = TrainConfig()
+    aug_rng = Rng(derive(cfg.seed, TAG_AUG))
+    base = derive(cfg.seed, TAG_TRAIN_SCENES)
+    seeds = [derive(base, i) for i in range(cfg.batch_size)]
+    batch = [augment(s, aug_rng, augment_config(cfg))
+             for s in gen_synthetic_scenes(seeds, scene_config(cfg))]
+    assert _sha([b.image for b in batch], "<f4") == STOCK_BATCH_IMAGE_SHA
+    assert _sha([b.labels.labels for b in batch], "<i4") == STOCK_BATCH_LABEL_SHA
+    assert _sha(aug_rng.state(), "<u8") == STOCK_AUG_STATE_SHA
+    val0 = val_scene(cfg, 0)
+    assert _sha(val0.image, "<f4") == VAL0_IMAGE_SHA
+    assert _sha(val0.labels.labels, "<i4") == VAL0_LABEL_SHA
 
 
 # ---------------------------------------------------------------------------

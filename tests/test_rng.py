@@ -149,5 +149,19 @@ def test_bulk_normal_odd_length_truncates_last_pair():
     assert np.array_equal(bulk_normal(3, (7,)), bulk_normal(3, (8,))[:7])
 
 
+def test_seed_array_rows_equal_single_seed_calls():
+    seeds = [0, 7, (1 << 64) - 1]
+    for shape in ((7,), (3, 4, 4), ()):
+        z = bulk_normal(seeds, shape)
+        assert z.shape == (3,) + shape
+        for row, seed in zip(z, seeds):
+            assert row.tobytes() == bulk_normal(seed, shape).tobytes()
+    u = bulk_u64(np.array(seeds, dtype=np.uint64), 9)
+    assert u.shape == (3, 9)
+    for row, seed in zip(u, seeds):
+        assert np.array_equal(row, bulk_u64(seed, 9))
+    assert bulk_u64([], 4).shape == (0, 4)
+
+
 def test_bulk_streams_differ_by_seed():
     assert not np.array_equal(bulk_u64(0, 16), bulk_u64(1, 16))
