@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labelmap import LabelMap
-from .tensor import NumericError, ShapeError, Tensor, record
+from .tensor import NumericError, ShapeError, Tensor, add, record, scale
 
 EPS = 1e-7
 
@@ -38,7 +38,7 @@ def downsample_labels(gt: LabelMap, out_h: int, out_w: int) -> LabelMap:
         )
     sh, sw = h // out_h, w // out_w
     out = gt.labels[::sh, ::sw]
-    return LabelMap(np.ascontiguousarray(out), gt.ignore_index)
+    return LabelMap(np.ascontiguousarray(out))
 
 
 @dataclass
@@ -214,8 +214,6 @@ class AffinityLossTerms:
 
 def affinity_loss(p: Tensor, maps, lambda_u: float = 1.0, lambda_g: float = 1.0) -> AffinityLossTerms:
     """Weighted sum of the unary and global terms; gradient flows through both."""
-    from .tensor import add, scale
-
     unary = unary_affinity_loss(p, maps)
     glob, gt = global_affinity_loss(p, maps)
     total = add(scale(unary, lambda_u), scale(glob, lambda_g))

@@ -72,8 +72,9 @@ class TrainConfig:
             for key in keys:
                 if not ok(getattr(self, key)):
                     raise ConfigError(f"{key} must be {need}")
-        if self.max_shape < self.min_shape:
-            raise ConfigError("max_shape must not be below min_shape")
+        if not self.min_shape <= self.max_shape <= self.scene_size:
+            # a larger shape would only be clipped to the scene by _draw_shape
+            raise ConfigError("max_shape must be in [min_shape, scene_size]")
 
 
 # (fields, test, requirement) for TrainConfig.validate; NaN fails every test

@@ -24,11 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm2d, Conv2d
+from .layers import BatchNorm2d, Conv2d, Module
 from .tensor import ShapeError
 
 
-class FullySeparableConv:
+class FullySeparableConv(Module):
     """Depthwise k x 1 (or 1 x k) followed by a 1x1 pointwise projection.
 
     orientation "vertical" slides the k-tap window along the height axis;
@@ -55,11 +55,8 @@ class FullySeparableConv:
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return self.pointwise(self.depthwise(x))
 
-    def parameters(self):
-        return self.depthwise.parameters() + self.pointwise.parameters()
 
-
-class AggregationModule:
+class AggregationModule(Module):
     """FSConv(k x 1) -> BN -> ReLU -> FSConv(1 x k) -> BN -> ReLU."""
 
     def __init__(self, name: str, cin: int, cout: int, k: int,
@@ -73,15 +70,6 @@ class AggregationModule:
         h = T.relu(self.bn1(self.fs1(x), mode))
         return T.relu(self.bn2(self.fs2(h), mode))
 
-    def parameters(self):
-        return (
-            self.fs1.parameters() + self.bn1.parameters()
-            + self.fs2.parameters() + self.bn2.parameters()
-        )
-
-    def bn_layers(self):
-        return [self.bn1, self.bn2]
-
 
 def _complement_context(xr: T.Tensor, y: T.Tensor) -> T.Tensor:
     """(1 - P) X_r from Y = P X_r: every row is colsum(X_r) - Y."""
@@ -93,7 +81,7 @@ def _complement_context(xr: T.Tensor, y: T.Tensor) -> T.Tensor:
     return T.record((xr, y), out, bwd)
 
 
-class ContextPriorLayer:
+class ContextPriorLayer(Module):
     """Aggregation, prior-map head, and intra/inter context gathering.
 
     ``n`` is fixed at construction: the head's 1x1 convolution has n output
@@ -137,16 +125,6 @@ class ContextPriorLayer:
 
         out = T.concat([x, to_map(y), to_map(ybar)], axis=1)
         return out, p
-
-    def parameters(self):
-        return (
-            self.aggregation.parameters()
-            + self.prior_conv.parameters()
-            + self.prior_bn.parameters()
-        )
-
-    def bn_layers(self):
-        return self.aggregation.bn_layers() + [self.prior_bn]
 
 
 def macs_standard_conv(h: int, w: int, k: int, cin: int, cout: int) -> int:

@@ -178,7 +178,7 @@ def augment(scene: SyntheticScene, rng: Rng, cfg: AugmentConfig) -> SyntheticSce
     crop sits top-left on zeros and ignore labels (mixed per axis too)."""
     if cfg.crop % 8:
         raise ShapeError(f"crop size {cfg.crop} must be divisible by 8")
-    img, lab, ignore = scene.image, scene.labels.labels, scene.labels.ignore_index
+    img, lab = scene.image, scene.labels.labels
     if rng.uniform() < cfg.flip_prob:
         img, lab = img[:, :, ::-1], lab[:, ::-1]
     factor = cfg.scales[rng.randint(len(cfg.scales))]
@@ -190,10 +190,10 @@ def augment(scene: SyntheticScene, rng: Rng, cfg: AugmentConfig) -> SyntheticSce
     x0 = rng.randint(w - cfg.crop + 1) if w > cfg.crop else 0
     ch, cw = min(h, cfg.crop), min(w, cfg.crop)
     out_img = np.zeros((3, cfg.crop, cfg.crop), dtype=np.float32)
-    out_lab = np.full((cfg.crop, cfg.crop), ignore, dtype=np.int32)
+    out_lab = np.full((cfg.crop, cfg.crop), IGNORE_INDEX, dtype=np.int32)
     np.clip(img[:, y0:y0 + ch, x0:x0 + cw], 0.0, 1.0, out=out_img[:, :ch, :cw])
     out_lab[:ch, :cw] = lab[y0:y0 + ch, x0:x0 + cw]
-    return SyntheticScene(out_img, LabelMap(out_lab, ignore), scene.seed)
+    return SyntheticScene(out_img, LabelMap(out_lab), scene.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,9 @@ class ConfusionMatrix:
     def update(self, pred, gt) -> None:
         pl = pred.labels if isinstance(pred, LabelMap) else np.asarray(pred)
         gl = gt.labels if isinstance(gt, LabelMap) else np.asarray(gt)
-        ignore = gt.ignore_index if isinstance(gt, LabelMap) else IGNORE_INDEX
         if pl.shape != gl.shape:
             raise ShapeError(f"prediction {pl.shape} vs ground truth {gl.shape}")
-        mask = gl != ignore
+        mask = gl != IGNORE_INDEX
         idx = gl[mask].astype(np.int64) * self.num_classes + pl[mask].astype(np.int64)
         binc = np.bincount(idx, minlength=self.num_classes ** 2)
         self.counts += binc.reshape(self.num_classes, self.num_classes)

@@ -20,6 +20,7 @@ import shutil
 
 import numpy as np
 
+from .data import SyntheticScene
 from .labelmap import LabelMap
 from .tensor import ShapeError
 
@@ -194,8 +195,6 @@ def save_dataset(path: str, scenes) -> None:
 
 
 def load_dataset(path: str):
-    from .data import SyntheticScene
-
     with open(os.path.join(path, "manifest.txt"), encoding="utf-8") as f:
         entries = [ln.split() for ln in f if ln.strip()]
     scenes = []

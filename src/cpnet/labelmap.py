@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,12 +23,12 @@ def check_classes(labels: np.ndarray, ignore_index: int, num_classes: int) -> No
 class LabelMap:
     """A dense H x W grid of integer class labels.
 
-    Entries equal to ``ignore_index`` mark unlabeled pixels: they are
-    excluded from every loss, metric, and affinity target.
+    Entries equal to ``ignore_index`` (always IGNORE_INDEX) mark unlabeled
+    pixels: they are excluded from every loss, metric, and affinity target.
     """
 
     labels: np.ndarray
-    ignore_index: int = IGNORE_INDEX
+    ignore_index: ClassVar[int] = IGNORE_INDEX
 
     def __post_init__(self):
         arr = np.asarray(self.labels)
@@ -53,4 +54,4 @@ class LabelMap:
         check_classes(self.labels, self.ignore_index, num_classes)
 
     def copy(self) -> "LabelMap":
-        return LabelMap(self.labels.copy(), self.ignore_index)
+        return LabelMap(self.labels.copy())

@@ -1,10 +1,12 @@
-"""Parameterized layer wrappers over the raw tensor ops.
+"""Parameterized layers over the raw tensor ops, and the Module base.
 
-Each layer owns named Parameters and exposes ``__call__``; weight
-initialization draws from the documented deterministic generator so a
-(seed, name) pair fully determines every initial value.  Conv weights are
-uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero, BN scale 1 and
-shift 0.
+A ``Module`` finds its parameters and BN layers by walking its own
+attributes (lists included) in assignment order, so each layer states its
+children once, in ``__init__``; every layer and model block in the package
+subclasses it.  Each layer exposes ``__call__``.  Weight initialization
+draws from the documented deterministic generator so a (seed, name) pair
+fully determines every initial value.  Conv weights are uniform in
+[-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero, BN scale 1 and shift 0.
 """
 
 from __future__ import annotations
@@ -29,7 +31,31 @@ def uniform_init(seed: int, name: str, shape, fan_in: int, dtype: str) -> T.Tens
     return T.Tensor(((u * 2.0 - 1.0) * bound).astype(T._DTYPES[dtype]))
 
 
-class Conv2d:
+class Module:
+    """Base of every layer and model block; its children are its attributes."""
+
+    def _walk(self):
+        """Self, then every Module and Parameter held in an attribute or an
+        attribute's list, depth first in assignment order."""
+        yield self
+        for value in vars(self).values():
+            for v in value if isinstance(value, list) else (value,):
+                if isinstance(v, Module):
+                    yield from v._walk()
+                elif isinstance(v, T.Parameter):
+                    yield v
+
+    def parameters(self) -> list[T.Parameter]:
+        out = [v for v in self._walk() if isinstance(v, T.Parameter)]
+        names = [p.name for p in out]
+        assert len(names) == len(set(names)), "duplicate parameter names"
+        return out
+
+    def bn_layers(self) -> list[BatchNorm2d]:
+        return [m for m in self._walk() if isinstance(m, BatchNorm2d)]
+
+
+class Conv2d(Module):
     def __init__(
         self,
         name: str,
@@ -69,11 +95,8 @@ class Conv2d:
             groups=self.groups,
         )
 
-    def parameters(self) -> list[T.Parameter]:
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     def __init__(self, name: str, channels: int, dtype: str = "float32"):
         self.gamma = T.Parameter(name + ".gamma", T.full((channels,), 1.0, dtype), decay=False)
         self.beta = T.Parameter(name + ".beta", T.zeros((channels,), dtype), decay=False)
@@ -83,11 +106,8 @@ class BatchNorm2d:
     def __call__(self, x: T.Tensor, mode: str) -> T.Tensor:
         return T.batch_norm(x, self.gamma, self.beta, self.state, mode=mode)
 
-    def parameters(self) -> list[T.Parameter]:
-        return [self.gamma, self.beta]
 
-
-class ConvBnRelu:
+class ConvBnRelu(Module):
     """conv -> BN -> ReLU, the backbone's stage block."""
 
     def __init__(self, name, cin, cout, k, stride=1, dilation=1, seed=0, dtype="float32"):
@@ -101,6 +121,3 @@ class ConvBnRelu:
 
     def __call__(self, x, mode):
         return T.relu(self.bn(self.conv(x), mode))
-
-    def parameters(self):
-        return self.conv.parameters() + self.bn.parameters()

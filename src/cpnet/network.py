@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .affinity import IdealAffinityMap, affinity_loss, downsample_labels, ideal_affinity_map
 from .context_prior import ContextPriorLayer
-from .labelmap import LabelMap
-from .layers import BatchNorm2d, Conv2d, ConvBnRelu
+from .labelmap import IGNORE_INDEX, LabelMap
+from .layers import Conv2d, ConvBnRelu, Module
 from .tensor import ShapeError
 
 STRIDES = (2, 2, 2, 1, 1)
@@ -26,7 +26,7 @@ DILATIONS = (1, 1, 1, 2, 4)
 OUTPUT_STRIDE = 8
 
 
-class ToyBackbone:
+class ToyBackbone(Module):
     def __init__(self, widths=(16, 32, 64, 64, 64), seed: int = 0, dtype: str = "float32"):
         if len(widths) != 5:
             raise ShapeError(f"backbone wants 5 stage widths, got {len(widths)}")
@@ -54,17 +54,8 @@ class ToyBackbone:
                 stage4 = x
         return stage4, x
 
-    def parameters(self):
-        out = []
-        for s in self.stages:
-            out += s.parameters()
-        return out
 
-    def bn_layers(self):
-        return [s.bn for s in self.stages]
-
-
-class AuxHead:
+class AuxHead(Module):
     """3x3 conv + BN + ReLU + 1x1 conv on the penultimate stage."""
 
     def __init__(self, name, cin, num_classes, seed=0, dtype="float32"):
@@ -74,14 +65,8 @@ class AuxHead:
     def __call__(self, x, mode):
         return self.proj(self.block(x, mode))
 
-    def parameters(self):
-        return self.block.parameters() + self.proj.parameters()
 
-    def bn_layers(self):
-        return [self.block.bn]
-
-
-class CPNet:
+class CPNet(Module):
     """Backbone + context prior layer + segmentation and auxiliary heads.
 
     ``feat_hw`` fixes the feature-map side length the prior head is built
@@ -129,23 +114,6 @@ class CPNet:
         aux = (T.bilinear_upsample(self.aux_head(stage4, mode), OUTPUT_STRIDE)
                if mode == "train" else None)
         return logits, aux, p
-
-    def parameters(self) -> list[T.Parameter]:
-        out = self.backbone.parameters()
-        if self.cp_layer is not None:
-            out += self.cp_layer.parameters()
-        out += self.seg_head.parameters()
-        out += self.aux_head.parameters()
-        names = [p.name for p in out]
-        assert len(names) == len(set(names)), "duplicate parameter names"
-        return out
-
-    def bn_layers(self) -> list[BatchNorm2d]:
-        out = self.backbone.bn_layers()
-        if self.cp_layer is not None:
-            out += self.cp_layer.bn_layers()
-        out += self.aux_head.bn_layers()
-        return out
 
 
 @dataclass
@@ -198,9 +166,8 @@ def total_loss(
     lambda_g: float = 1.0,
 ) -> TotalLossTerms:
     labels = stack_labels(gt_batch)
-    ignore = gt_batch[0].ignore_index
-    seg = T.softmax_cross_entropy(logits, labels, ignore)
-    aux = T.softmax_cross_entropy(aux_logits, labels, ignore)
+    seg = T.softmax_cross_entropy(logits, labels, IGNORE_INDEX)
+    aux = T.softmax_cross_entropy(aux_logits, labels, IGNORE_INDEX)
     total = T.add(T.scale(seg, lambda_s), T.scale(aux, lambda_a))
     if p is not None:
         terms = affinity_loss(p, a, lambda_u, lambda_g)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .affinity import affinity_image, downsample_labels, ideal_affinity_map
-from .config import TrainConfig, serialize_config
+from .config import TrainConfig, parse_config, serialize_config
 from .data import (
     AugmentConfig,
     ConfusionMatrix,
@@ -91,8 +91,6 @@ def save_model(path: str, model: CPNet, cfg: TrainConfig, step: int, rng_state) 
 
 
 def load_model(path: str) -> tuple[CPNet, TrainConfig, int]:
-    from .config import parse_config
-
     tensors, step, _rng, config_text = load_checkpoint(path)
     cfg = parse_config(config_text)
     model = build_model(cfg)
@@ -314,7 +312,7 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
         lab = resize_labels(scene.labels.labels, crop, crop)
     else:
         lab = scene.labels.labels
-    gt = LabelMap(lab, scene.labels.ignore_index)
+    gt = LabelMap(lab)
 
     logits, _aux, p = model.forward(T.Tensor(img[None]), mode="eval")
     paths = []

@@ -131,7 +131,8 @@ def test_bad_config_exits_1(capsys, tmp_path):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0"])
+@pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0",
+                                  "max_shape = 100000000000000000000"])
 def test_unusable_config_exits_1_without_a_traceback(tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n", encoding="utf-8")

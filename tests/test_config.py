@@ -122,6 +122,10 @@ def test_tuple_fields_parse_comma_lists():
         ("min_shape", 0),
         ("shapes_per_image", -1),
         ("eval_every", -1),
+        # larger than any shape a scene can hold; scene generation used to
+        # raise a bare OverflowError on it
+        ("max_shape", 10 ** 20),
+        ("max_shape", 33),
     ],
 )
 def test_validation_rejects_bad_settings(field, value):

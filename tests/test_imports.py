@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, at module level.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: a name bound by an import statement must be
 read somewhere in the same module.  ``__init__.py`` is exempt, since its
-imports are the package's re-exports.
+imports are the package's re-exports.  Imports sit at the top of a module;
+only ``cli.py`` imports inside functions, so that each subcommand loads
+just what it runs.
 """
 
 import ast
@@ -29,6 +31,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
+def function_level_imports(source: str) -> list[str]:
+    """Names of the functions that contain an import statement."""
+    tree = ast.parse(source)
+    return sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn))
+    )
+
+
 def test_guard_flags_an_unused_import():
     src = "import os\nimport numpy as np\nfrom typing import NamedTuple\nx = os.sep\n"
     assert unused_imports(src) == ["NamedTuple", "np"]
@@ -37,3 +50,13 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_flags_a_function_level_import():
+    src = "import os\n\ndef f():\n    from math import pi\n    return pi\n\ndef g():\n    return os\n"
+    assert function_level_imports(src) == ["f"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_module_imports_only_at_module_level(path):
+    assert function_level_imports(path.read_text()) == []

@@ -1,11 +1,13 @@
 """Training loop, tiled evaluation, checkpoint wiring, prior export."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
+from cpnet.config import TrainConfig
 from cpnet.data import ConfusionMatrix, SyntheticScene, gen_synthetic_scene, resize_image
 from cpnet.fileio import load_checkpoint
 from cpnet.labelmap import LabelMap
@@ -134,6 +136,24 @@ def test_checkpoint_restores_identical_predictions(tiny_run, tmp_path):
     pb = predict_scene_probs(other, scene.image, cfg.crop)
     assert np.array_equal(pa, pb)
 
+
+# sha256 of the stock model's inventory: the ordered names, shapes and dtypes
+# of its checkpoint tensors (parameters in optimizer order, then BN running
+# statistics), followed by the BN layers' state names.  Recorded while each
+# layer class still listed its parameters and BN layers by hand.
+STOCK_INVENTORY_SHA = {
+    True: "522eb6ec4768bb4f8525831a1c35f736f8b9240e7b1dcbc8e9b6231d4e4f757d",
+    False: "856242e526ff010912c378d1e497162c128024cba43c9ec846cdc40b2c2a5b49",
+}
+
+
+@pytest.mark.parametrize("prior", [True, False])
+def test_stock_model_inventory_is_pinned(prior):
+    model = build_model(TrainConfig(use_context_prior=prior))
+    lines = [f"{name} {arr.shape} {arr.dtype}" for name, arr in model_tensors(model).items()]
+    lines += [bn.state_name for bn in model.bn_layers()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == STOCK_INVENTORY_SHA[prior]
 
 def test_single_window_eval_equals_direct_forward():
     cfg = tiny_config()
