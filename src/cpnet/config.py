@@ -77,9 +77,15 @@ class TrainConfig:
             raise ConfigError("max_shape must be in [min_shape, scene_size]")
 
 
+# Largest crop and scene side in pixels, above the 512-769 px crops used on
+# the paper's benchmarks.  Unbounded, a side numpy cannot allocate would
+# pass validation and fail in scene generation.
+MAX_SIDE = 1024
+
 # (fields, test, requirement) for TrainConfig.validate; NaN fails every test
 _RULES = (
-    (("crop", "scene_size"), lambda v: v >= 8 and v % 8 == 0, "a positive multiple of 8"),
+    (("crop", "scene_size"), lambda v: 8 <= v <= MAX_SIDE and v % 8 == 0,
+     f"a multiple of 8 in [8, {MAX_SIDE}]"),
     (("widths",), lambda v: len(v) == 5 and min(v) >= 1, "5 positive entries"),
     (("num_classes",), lambda v: v >= 2, "at least 2"),
     (("k",), lambda v: v >= 1 and v % 2 == 1, "odd and positive"),

@@ -9,7 +9,10 @@ topological order, so ``Graph.backward`` is a single reverse sweep.
 
 Gradient accumulation contract: ``Graph.backward`` adds into each reachable
 :class:`Parameter`'s ``.grad`` exactly once per call; calling it twice
-without zeroing doubles the gradients.
+without zeroing doubles the gradients.  The sweep frees each intermediate
+gradient once its node has consumed it, so the :class:`Gradients` it
+returns hold leaf tensors and parameters only; asking for an op's output
+raises KeyError.
 """
 
 from __future__ import annotations
@@ -169,12 +172,18 @@ class Graph:
         assert popped is self
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Reverse sweep from a scalar loss; accumulates into Parameter.grad."""
+        """Reverse sweep from a scalar loss; accumulates into Parameter.grad.
+
+        Each output gradient is dropped as soon as its node has consumed it,
+        so the returned Gradients hold the leaves (parameters included) only.
+        """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
         for inputs, out, bwd in reversed(self.nodes):
-            gout = grads.get(id(out))
+            # a node's output gradient is complete once the sweep reaches it,
+            # and nothing reads it after its node has consumed it
+            gout = grads.pop(id(out), None)
             if gout is None:
                 continue
             for t, gi in zip(inputs, bwd(gout)):
@@ -465,7 +474,21 @@ def _pair(v) -> tuple[int, int]:
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) -> Tensor:
-    """2-D cross-correlation on [B,Cin,H,W] with [Cout,Cin/groups,kh,kw] filters."""
+    """2-D cross-correlation on [B,Cin,H,W] with [Cout,Cin/groups,kh,kw] filters.
+
+    Kernel taps that read only padding are dropped first (their weight
+    gradient is exactly zero).  The kept taps then take one of three window
+    kinds, chosen from the geometry alone:
+
+    - in place: a 1x1 kernel at unit stride whose window is the input
+      itself (the model's pointwise convs, and stage 5 on a 4x4 map).  The
+      GEMMs read x directly and dx is a GEMM output; nothing is copied.
+    - banded: a depthwise kernel whose kept taps lie on one column or one
+      row (the aggregation's k x 1 and 1 x k convs).  Each channel's taps
+      form one banded matrix, so no window is copied either.
+    - im2col: everything else, a 2-D depthwise kernel included.  The
+      windows are copied into columns that the tape keeps for the backward.
+    """
     x, w = _unwrap(x), _unwrap(w)
     b = _unwrap(bias) if bias is not None else None
     sh, sw = _pair(stride)
@@ -494,23 +517,146 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
 
-    # Drop the taps that read only padding and pad only as far as the kept
-    # ones read: [y0, y1) x [x0, x1), from (r0, c0) of the padded input.
+    # Drop the taps that read only padding: the kept ones read input rows
+    # [y0, y1) and columns [x0, x1), which may reach into the padding.
     lh, hh, y0, y1 = _tap_span(h, kh, sh, ph, dh, oh)
     lw, hw, x0, x1 = _tap_span(wid, kw, sw, pw, dw, ow)
     kh, kw = hh - lh, hw - lw
     wd = w.data if (kh, kw) == w.shape[2:] else np.ascontiguousarray(w.data[:, :, lh:hh, lw:hw])
+    if (kh, kw, sh, sw, y0, x0, oh, ow) == (1, 1, 1, 1, 0, 0, h, wid):
+        out, grads = _conv_in_place(x.data, wd, groups)
+    elif cin_g == cout // groups == 1 and 1 in (kh, kw):
+        along_h = kw == 1
+        kernel_axis = (h, oh, sh, dh, y0) if along_h else (wid, ow, sw, dw, x0)
+        other_axis = (wid, ow, sw, x0) if along_h else (h, oh, sh, y0)
+        out, grads = _conv_banded(x.data, wd, along_h, kernel_axis, other_axis)
+    else:
+        out, grads = _conv_im2col(x.data, wd, groups, (oh, ow), (sh, sw), (dh, dw),
+                                  (y0, y1, x0, x1))
+    if b is not None:
+        out = out + b.data[None, :, None, None]
+    out_t = Tensor(out)
+
+    def bwd(g):
+        dx, gw = grads(g)
+        if wd is not w.data:  # a dropped tap's gradient is exactly zero
+            gw, gk = np.zeros(w.shape, dtype=gw.dtype), gw
+            gw[:, :, lh:hh, lw:hw] = gk
+        if b is None:
+            return dx, gw
+        return dx, gw, g.sum(axis=(0, 2, 3))
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return record(inputs, out_t, bwd)
+
+
+# Each window kind returns (output, grads) with grads(g) -> (dx, dw); outputs
+# are computed per (sample, group) or per (sample, channel), so a sample's
+# output is bit-independent of its batch mates (BLAS may pick a different
+# kernel for a wider matrix).
+
+def _conv_in_place(xd, wd, groups):
+    """A 1x1 kernel at unit stride whose window is the input itself: the
+    GEMMs read x directly, dx is the column GEMM, and nothing is copied for
+    the backward."""
+    bsz, cin, h, wid = xd.shape
+    cout = wd.shape[0]
+    cg, og = cin // groups, cout // groups
+    w3 = wd.reshape(groups, og, cg)
+    xg = xd.reshape(bsz, groups, cg, h * wid)
+    out = np.matmul(w3, xg).reshape(bsz, cout, h, wid)
+
+    def grads(g):
+        gm = g.reshape(bsz, groups, og, h * wid)
+        cols = xg.transpose(1, 2, 0, 3).reshape(groups, cg, -1)
+        gw = np.matmul(
+            gm.transpose(1, 2, 0, 3).reshape(groups, og, -1), cols.transpose(0, 2, 1)
+        ).reshape(wd.shape)
+        return np.matmul(w3.transpose(0, 2, 1), gm).reshape(xd.shape), gw
+
+    return out, grads
+
+
+@functools.lru_cache(maxsize=256)
+def _band_index(n_in: int, n_out: int, k: int, stride: int, dilation: int, start: int):
+    """(pos, live), both (k, n_out): the flat position in an (n_out, n_in) band
+    matrix of tap t's entry for output i, which reads input i*stride +
+    t*dilation + start, and whether that input is real (not padding).  The
+    arrays are cached and shared, so they are returned read-only."""
+    i = np.arange(n_out)
+    r = i * stride + np.arange(k)[:, None] * dilation + start
+    live = (r >= 0) & (r < n_in)
+    pos = np.where(live, i * n_in + r, 0)
+    pos.flags.writeable = live.flags.writeable = False
+    return pos, live
+
+
+def _conv_banded(xd, wd, along_h, kernel_axis, other_axis):
+    """A depthwise kernel whose kept taps lie on one column (``along_h``) or
+    one row.  Each channel's taps become one banded (n_out, n_in) matrix
+    along that axis, so the forward, dx and the band's gradient are one
+    np.matmul each, and the taps' gradients are read off the band's
+    diagonals.  ``kernel_axis`` is (n_in, n_out, stride, dilation, start) and
+    ``other_axis`` (n_in, n_out, stride, start)."""
+    c = xd.shape[1]
+    n_in, n_out, step, dil, start = kernel_axis
+    k = wd.size // c
+    pos, live = _band_index(n_in, n_out, k, step, dil, start)
+    band = np.zeros((c, n_out * n_in), dtype=wd.dtype)
+    band[:, pos[live]] = wd.reshape(c, k)[:, live.nonzero()[0]]
+    band = band.reshape(c, n_out, n_in)
+
+    # output j of the other axis reads input start + stride*j, or padding
+    axis = 3 if along_h else 2
+    m_in, m_out, m_step, m_start = other_axis
+    if (m_out, m_step, m_start) == (m_in, 1, 0):
+        xs = xd
+    else:
+        ja = max(0, -(m_start // m_step))  # outputs [ja, jb) read real inputs
+        jb = min(m_out, -((m_start - m_in) // m_step))
+        dst = (slice(None),) * axis + (slice(ja, jb),)
+        src = (slice(None),) * axis + (
+            slice(m_start + m_step * ja, m_start + m_step * (jb - 1) + 1, m_step),)
+        xs = np.zeros(xd.shape[:axis] + (m_out,) + xd.shape[axis + 1:], dtype=xd.dtype)
+        xs[dst] = xd[src]
+    out = np.matmul(band, xs) if along_h else np.matmul(xs, band.transpose(0, 2, 1))
+
+    def grads(g):
+        if along_h:
+            dxs = np.matmul(band.transpose(0, 2, 1), g)
+            gv, xv = g, xs
+        else:
+            dxs = np.matmul(g, band)
+            gv, xv = g.transpose(0, 1, 3, 2), xs.transpose(0, 1, 3, 2)
+        # (c, n_out, B*m) x (c, B*m, n_in): the GEMM sums over the batch
+        dband = np.matmul(gv.transpose(1, 2, 0, 3).reshape(c, n_out, -1),
+                          xv.transpose(1, 0, 3, 2).reshape(c, -1, n_in))
+        gw = np.where(live, dband.reshape(c, -1)[:, pos], 0).sum(axis=2).reshape(wd.shape)
+        if xs is xd:
+            return dxs, gw
+        dx = np.zeros(xd.shape, dtype=dxs.dtype)
+        dx[src] = dxs[dst]
+        return dx, gw
+
+    return out, grads
+
+
+def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
+    """Any kernel: zero-pad as far as the kept taps read (input rows and
+    columns ``span`` = (y0, y1, x0, x1)), copy the windows into columns kept
+    for the backward, and scatter dx back with np.add.at."""
+    bsz, cin, h, wid = xd.shape
+    cout, cg, kh, kw = wd.shape
+    og = cout // groups
+    (oh, ow), (sh, sw), (dh, dw), (y0, y1, x0, x1) = out_hw, stride, dilation, span
     pt, pl = max(-y0, 0), max(-x0, 0)
     hp, wp = pt + max(y1, h), pl + max(x1, wid)
     r0, c0 = y0 + pt, x0 + pl
     if (hp, wp) != (h, wid):
-        xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-        xp[:, :, pt:pt + h, pl:pl + wid] = x.data
+        xp = np.zeros((bsz, cin, hp, wp), dtype=xd.dtype)
+        xp[:, :, pt:pt + h, pl:pl + wid] = xd
     else:
-        xp = x.data
-
-    cg = cin // groups
-    og = cout // groups
+        xp = xd
     k = cg * kh * kw
     # cols: (groups, cg*kh*kw, B, oh*ow) with the output pixels innermost.
     s0, s1, s2, s3 = xp.strides
@@ -521,52 +667,24 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
         groups, k, bsz, oh * ow
     )
     w3 = wd.reshape(groups, og, k)
-    # One GEMM per (sample, group), written straight into NCHW order: a
-    # sample's output is bit-independent of its batch mates, since BLAS
-    # may pick a different kernel for a wider matrix.
     out = np.matmul(w3, cols.transpose(2, 0, 1, 3)).reshape(bsz, cout, oh, ow)
-    if b is not None:
-        out = out + b.data[None, :, None, None]
-    out_t = Tensor(out)
 
-    def bwd(g):
+    def grads(g):
         gm = g.reshape(bsz, groups, og, oh * ow)
+        # One GEMM per group, reducing over all B*oh*ow output pixels.
+        gw = np.matmul(
+            gm.transpose(1, 2, 0, 3).reshape(groups, og, -1),
+            cols.reshape(groups, k, -1).transpose(0, 2, 1),
+        ).reshape(wd.shape)
+        dcols = np.matmul(w3.transpose(0, 2, 1), gm).reshape(bsz, -1)
         dxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)
-        if cg == og == 1:
-            # Depthwise: broadcast products instead of GEMMs of width 1, and
-            # col2im as one shifted, strided add per tap, which beats
-            # np.add.at on the aggregation's 11-tap convs (it loses for
-            # dense 3x3 convs on 4x4 maps).  Taps in (i, j) order reach
-            # every pixel in the same sequence as np.add.at.
-            gw = np.einsum("bgl,gkbl->gk", gm[:, :, 0], cols).reshape(wd.shape)
-            dcols = (w3[None, :, 0, :, None] * gm).reshape(bsz, cin, kh, kw, oh, ow)
-            for i in range(kh):
-                for j in range(kw):
-                    d = dxp[:, :, r0 + i * dh:r0 + i * dh + sh * (oh - 1) + 1:sh,
-                            c0 + j * dw:c0 + j * dw + sw * (ow - 1) + 1:sw]
-                    d += dcols[:, :, i, j]
-        else:
-            # One GEMM per group, reducing over all B*oh*ow output pixels.
-            gw = np.matmul(
-                gm.transpose(1, 2, 0, 3).reshape(groups, og, -1),
-                cols.reshape(groups, k, -1).transpose(0, 2, 1),
-            ).reshape(wd.shape)
-            dcols = np.matmul(w3.transpose(0, 2, 1), gm).reshape(bsz, -1)
-            idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
-            flat = dxp.reshape(bsz, -1)
-            for n in range(bsz):
-                np.add.at(flat[n, r0 * wp + c0:], idx, dcols[n])
-        if wd is not w.data:  # a dropped tap's gradient is exactly zero
-            gw, gk = np.zeros(w.shape, dtype=gw.dtype), gw
-            gw[:, :, lh:hh, lw:hw] = gk
-        dx = dxp[:, :, pt:pt + h, pl:pl + wid]
-        grads = [np.ascontiguousarray(dx), gw]
-        if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
+        flat = dxp.reshape(bsz, -1)
+        for n in range(bsz):
+            np.add.at(flat[n, r0 * wp + c0:], idx, dcols[n])
+        return np.ascontiguousarray(dxp[:, :, pt:pt + h, pl:pl + wid]), gw
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record(inputs, out_t, bwd)
+    return out, grads
 
 
 # ---------------------------------------------------------------------------

@@ -131,22 +131,37 @@ def test_bad_config_exits_1(capsys, tmp_path):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0",
-                                  "max_shape = 100000000000000000000"])
-def test_unusable_config_exits_1_without_a_traceback(tmp_path, line):
+def _run_cli_with_config(tmp_path, line, *args):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n", encoding="utf-8")
     src = os.path.dirname(os.path.dirname(cpnet.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cpnet.cli", "train", "--config", str(path),
-         "--out", str(tmp_path / "run")],
+    return subprocess.run(
+        [sys.executable, "-m", "cpnet.cli", args[0], "--config", str(path), *args[1:]],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0",
+                                  "max_shape = 100000000000000000000",
+                                  "crop = 800000000000000000000"])
+def test_unusable_config_exits_1_without_a_traceback(tmp_path, line):
+    proc = _run_cli_with_config(tmp_path, line, "train", "--out", str(tmp_path / "run"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error: " + line.split()[0])
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_oversized_scene_exits_1_from_gen_data(tmp_path):
+    # scene generation used to end in a bare ValueError from np.empty
+    line = "scene_size = 800000000000000000000"
+    proc = _run_cli_with_config(tmp_path, line, "gen-data", "--out", str(tmp_path / "d"),
+                                "--count", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: scene_size")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d").exists()
 
 
 def test_missing_config_exits_3(capsys, tmp_path):

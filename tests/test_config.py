@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpnet.config import (
+    MAX_SIDE,
     ConfigError,
     TrainConfig,
     load_config,
@@ -126,6 +127,12 @@ def test_tuple_fields_parse_comma_lists():
         # raise a bare OverflowError on it
         ("max_shape", 10 ** 20),
         ("max_shape", 33),
+        # sides above MAX_SIDE; at 8e20 scene generation used to raise a
+        # bare ValueError from np.empty
+        ("scene_size", 8 * 10 ** 20),
+        ("crop", 8 * 10 ** 20),
+        ("scene_size", MAX_SIDE + 8),
+        ("crop", MAX_SIDE + 8),
     ],
 )
 def test_validation_rejects_bad_settings(field, value):

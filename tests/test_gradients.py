@@ -101,6 +101,24 @@ def test_parameter_grad_accumulates_across_backward_calls():
     assert not p.grad.data.any()
 
 
+def test_backward_keeps_only_leaf_and_parameter_gradients():
+    # intermediate gradients are freed during the sweep; leaves keep theirs
+    p = Parameter("w", rnd(12, (2, 3)))
+    x = Tensor(rnd(13, (2, 3)))
+    with Graph() as g:
+        h = relu(mul(p, x))
+        loss = sum_all(h)
+    grads = g.backward(loss)
+    for t in (h, loss):
+        assert t not in grads
+        with pytest.raises(KeyError):
+            grads[t]
+    mask = (p.value.data * x.data > 0).astype(float)
+    assert np.array_equal(grads[x], mask * p.value.data)
+    assert np.array_equal(grads[p], mask * x.data)
+    assert np.array_equal(p.grad.data, grads[p])
+
+
 def test_backward_requires_a_scalar():
     x = Tensor(rnd(7, (2, 2)))
     with Graph() as g:

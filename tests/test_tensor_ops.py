@@ -5,6 +5,8 @@ oracle written as plain loops (convolution, bilinear resampling,
 cross-entropy); the rest are compared with direct numpy expressions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -271,6 +273,10 @@ DEAD_TAP_CASES = [
          groups=1, bias=True),
     # the one kept tap reads rows and columns 1-2; the input border is never read
     dict(x=(2, 3, 4, 4), w=(2, 3, 3, 3), stride=1, padding=3, dilation=4, groups=1, bias=False),
+    # depthwise 5x1: tap 0 is dropped and tap 3, inside the kept range, is dead;
+    # the first and last output columns read only padding
+    dict(x=(2, 2, 2, 5), w=(2, 1, 5, 1), stride=(3, 2), padding=(4, 1), dilation=1,
+         groups=2, bias=True),
 ]
 
 CONV_CASES = [
@@ -286,14 +292,29 @@ CONV_CASES = [
     dict(x=(3, 4, 5, 7), w=(4, 1, 1, 5), stride=1, padding=(0, 2), dilation=1, groups=4, bias=False),
     dict(x=(2, 5, 5, 6), w=(3, 5, 1, 1), stride=2, padding=0, dilation=1, groups=1, bias=True),
     dict(x=(3, 4, 7, 6), w=(2, 4, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=True),
+    # depthwise kernels on one column or row run as banded products: strided,
+    # and dilated with outputs that read padding on the other axis
+    dict(x=(2, 3, 9, 7), w=(3, 1, 5, 1), stride=2, padding=(2, 0), dilation=1, groups=3, bias=True),
+    dict(x=(2, 4, 6, 9), w=(4, 1, 1, 3), stride=1, padding=(1, 2), dilation=2, groups=4, bias=False),
+    # a 2-D depthwise kernel takes the grouped im2col path
+    dict(x=(2, 4, 6, 6), w=(4, 1, 3, 3), stride=1, padding=1, dilation=1, groups=4, bias=True),
+    # 1x1 kernels: grouped in place, and strided with an offset window
+    dict(x=(2, 4, 5, 6), w=(6, 2, 1, 1), stride=1, padding=0, dilation=1, groups=2, bias=True),
+    dict(x=(1, 3, 5, 5), w=(4, 3, 1, 1), stride=(1, 2), padding=(0, 1), dilation=1, groups=1,
+         bias=False),
 ] + DEAD_TAP_CASES
 
 
-@pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: f"w{c['w']}g{c['groups']}s{c['stride']}")
-def test_conv2d_matches_loop_oracle(case):
-    def pair(v):
-        return v if isinstance(v, tuple) else (v, v)
+def pair(v):
+    return v if isinstance(v, tuple) else (v, v)
 
+
+def conv_case_id(c):
+    return f"w{c['w']}g{c['groups']}s{c['stride']}"
+
+
+@pytest.mark.parametrize("case", CONV_CASES, ids=conv_case_id)
+def test_conv2d_matches_loop_oracle(case):
     x = rnd(21, case["x"])
     w = rnd(22, case["w"], lo=-1.0, hi=1.0)
     bias = rnd(23, (case["w"][0],)) if case["bias"] else None
@@ -308,11 +329,85 @@ def test_conv2d_matches_loop_oracle(case):
     assert np.allclose(got.data, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("case", CONV_CASES, ids=conv_case_id)
+def test_conv2d_gradients_match_loop_oracle(case):
+    stride, padding, dilation = pair(case["stride"]), pair(case["padding"]), pair(case["dilation"])
+    x = rnd(41, case["x"])
+    w = rnd(42, case["w"], lo=-1.0, hi=1.0)
+    xt, wt = Tensor(x), Tensor(w)
+    bt = Tensor(rnd(43, (case["w"][0],))) if case["bias"] else None
+    with Graph() as gr:
+        out = conv2d(xt, wt, bt, stride=stride, padding=padding, dilation=dilation,
+                     groups=case["groups"])
+        g = rnd(44, out.shape)
+        loss = sum_all(mul(out, Tensor(g)))
+    grads = gr.backward(loss)
+    want_dx, want_gw = naive_conv2d_grads(x, w, g, stride, padding, dilation, case["groups"])
+    assert np.allclose(grads[xt], want_dx, atol=1e-12)
+    assert np.allclose(grads[wt], want_gw, atol=1e-12)
+    if bt is not None:
+        assert np.allclose(grads[bt], g.sum(axis=(0, 2, 3)), atol=1e-12)
+
+
+# The model's geometries for the copy-free window kinds: its 1x1 convs (one
+# grouped), stage 5's 3x3 at dilation 4 on a 4x4 map (a 1x1 after dropping
+# dead taps), and the aggregation's 11-tap depthwise convs.
+BATCH_INVARIANT_CASES = [
+    dict(w=(16, 64, 1, 1), hw=4, padding=0, dilation=1, groups=1),
+    dict(w=(8, 64, 1, 1), hw=16, padding=0, dilation=1, groups=2),
+    dict(w=(64, 64, 3, 3), hw=4, padding=4, dilation=4, groups=1),
+    dict(w=(64, 1, 11, 1), hw=4, padding=(5, 0), dilation=1, groups=64),
+    dict(w=(16, 1, 1, 11), hw=16, padding=(0, 5), dilation=1, groups=16),
+]
+
+
+@pytest.mark.parametrize("case", BATCH_INVARIANT_CASES, ids=lambda c: f"w{c['w']}hw{c['hw']}")
+def test_conv2d_in_place_and_banded_paths_are_batch_invariant(case):
+    """A sample's output equals its batch-1 output bit for bit, which
+    multi-window evaluation relies on."""
+    cg = case["w"][1]
+    x = (bulk_uniform(51, (5, cg * case["groups"], case["hw"], case["hw"])) - 0.5).astype(np.float32)
+    w = (bulk_uniform(52, case["w"]) - 0.5).astype(np.float32)
+    kw = dict(padding=case["padding"], dilation=case["dilation"], groups=case["groups"])
+    out = conv2d(Tensor(x), Tensor(w), **kw).data
+    for i in range(x.shape[0]):
+        one = conv2d(Tensor(x[i:i + 1]), Tensor(w), **kw).data
+        assert np.array_equal(one[0], out[i])
+
+
+def _bytes_kept_by_forward(x, w, **kw) -> int:
+    """Bytes a recorded conv2d forward leaves allocated while its tape is
+    alive, besides its output."""
+    xt, wt = Tensor(x), Tensor(w)
+    tracemalloc.start()
+    try:
+        with Graph() as tape:
+            out = conv2d(xt, wt, **kw)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == 1
+    return kept - out.data.nbytes
+
+
+def test_depthwise_conv_keeps_no_window_copy():
+    # the aggregation's depthwise 1x11 conv at the 16x16 grid, train mode:
+    # an im2col window buffer (C, k, B, L) would take 5.8 MB
+    b, c, hw, k = 4, 128, 16, 11
+    x = (bulk_uniform(61, (b, c, hw, hw)) - 0.5).astype(np.float32)
+    w = (bulk_uniform(62, (c, 1, 1, k)) - 0.5).astype(np.float32)
+    kept = _bytes_kept_by_forward(x, w, padding=(0, k // 2), groups=c)
+    assert kept < c * k * b * hw * hw * x.itemsize // 8
+
+
+def test_pointwise_conv_keeps_no_copy_of_its_input():
+    x = (bulk_uniform(63, (4, 128, 16, 16)) - 0.5).astype(np.float32)
+    w = (bulk_uniform(64, (64, 128, 1, 1)) - 0.5).astype(np.float32)
+    assert _bytes_kept_by_forward(x, w) < x.nbytes // 8
+
+
 @pytest.mark.parametrize("case", DEAD_TAP_CASES, ids=lambda c: f"w{c['w']}s{c['stride']}")
 def test_conv2d_dead_taps_get_exactly_zero_weight_gradient(case):
-    def pair(v):
-        return v if isinstance(v, tuple) else (v, v)
-
     stride, padding, dilation = pair(case["stride"]), pair(case["padding"]), pair(case["dilation"])
     x = rnd(31, case["x"])
     w = rnd(32, case["w"], lo=-1.0, hi=1.0)
