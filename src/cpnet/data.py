@@ -7,10 +7,13 @@ making it ambiguous: a random shadow region darkens the image without
 touching the labels (intra-class appearance variation), and Gaussian
 pixel noise is added everywhere.
 
-Everything random comes from the documented generator in `rng`, so a
-(seed, config) pair produces bit-identical scenes on any platform, and
-`gen_synthetic_scenes` builds a batch whose scenes do not depend on their
-batch mates (`gen_synthetic_scene` is the batch of one).
+Scenes and augmentation read their settings from the run's `TrainConfig`
+(scene side, classes, shape sizes, noise, shadow, flip, scales, crop),
+which validates them; nothing here re-checks them.  Everything random
+comes from the documented generator in `rng`, so a (seed, config) pair
+produces bit-identical scenes on any platform, and `gen_synthetic_scenes`
+builds a batch whose scenes do not depend on their batch mates
+(`gen_synthetic_scene` is the batch of one).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .labelmap import IGNORE_INDEX, LabelMap
 from .rng import Rng, bulk_normal, derive
 from .tensor import ShapeError, bilinear_matrix
@@ -44,19 +48,6 @@ _TAG_NOISE = 0x02
 
 
 @dataclass
-class SceneConfig:
-    height: int = 32
-    width: int = 32
-    num_classes: int = 4
-    shapes_per_image: int = 2
-    noise_std: float = 0.015
-    shadow_prob: float = 0.1
-
-    min_shape: int = 12
-    max_shape: int = 24
-
-
-@dataclass
 class SyntheticScene:
     image: np.ndarray  # (3, H, W) float32 in [0, 1]
     labels: LabelMap
@@ -77,7 +68,7 @@ def labels_to_rgb(labels: LabelMap) -> np.ndarray:
     return out
 
 
-def _draw_shape(rng: Rng, img, lab, cls: int, cfg: SceneConfig) -> None:
+def _draw_shape(rng: Rng, img, lab, cls: int, cfg: TrainConfig) -> None:
     h, w = lab.shape
     color = class_color(cls) + (np.array([rng.uniform(), rng.uniform(), rng.uniform()]) - 0.5) * 0.1
     kind = rng.randint(3)
@@ -108,14 +99,11 @@ def _draw_shape(rng: Rng, img, lab, cls: int, cfg: SceneConfig) -> None:
     lab[region] = cls
 
 
-def gen_synthetic_scenes(seeds, cfg: SceneConfig) -> list[SyntheticScene]:
-    """One scene per seed: geometry from each seed's own ``Rng``, then one
-    multi-seed noise pass, clip and float32 cast over the whole batch."""
-    if cfg.height % 8 or cfg.width % 8:
-        raise ShapeError(f"scene size {cfg.height}x{cfg.width} must be divisible by 8")
-    if cfg.num_classes < 2:
-        raise ValueError("need at least a background and one shape class")
-    h, w = cfg.height, cfg.width
+def gen_synthetic_scenes(seeds, cfg: TrainConfig) -> list[SyntheticScene]:
+    """One square ``cfg.scene_size`` scene per seed: geometry from each seed's
+    own ``Rng``, then one multi-seed noise pass, clip and float32 cast over
+    the whole batch."""
+    h = w = cfg.scene_size
     img = np.empty((len(seeds), 3, h, w), dtype=np.float64)
     img[...] = class_color(0)[:, None, None]
     lab = np.zeros((len(seeds), h, w), dtype=np.int32)
@@ -140,20 +128,13 @@ def gen_synthetic_scenes(seeds, cfg: SceneConfig) -> list[SyntheticScene]:
     return [SyntheticScene(im, LabelMap(lb), seed) for im, lb, seed in zip(img, lab, seeds)]
 
 
-def gen_synthetic_scene(seed: int, cfg: SceneConfig) -> SyntheticScene:
+def gen_synthetic_scene(seed: int, cfg: TrainConfig) -> SyntheticScene:
     return gen_synthetic_scenes([seed], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # Augmentation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AugmentConfig:
-    flip_prob: float = 0.5
-    scales: tuple = (0.5, 0.75, 1.0, 1.5, 1.75, 2.0)
-    crop: int = 32
-
 
 def resize_image(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear, half-pixel centers; img is (C, H, W)."""
@@ -172,16 +153,15 @@ def resize_labels(lab: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return rows.take(nearest_index(lab.shape[1], out_w), axis=1)
 
 
-def augment(scene: SyntheticScene, rng: Rng, cfg: AugmentConfig) -> SyntheticScene:
-    """Random flip, scale and crop, drawn from ``rng`` in that order; only the
-    crop window of the resized image is clipped.  A scene smaller than the
-    crop sits top-left on zeros and ignore labels (mixed per axis too)."""
-    if cfg.crop % 8:
-        raise ShapeError(f"crop size {cfg.crop} must be divisible by 8")
+def augment(scene: SyntheticScene, rng: Rng, cfg: TrainConfig) -> SyntheticScene:
+    """Random flip (``cfg.flip_prob``), scale (one of ``cfg.aug_scales``) and
+    ``cfg.crop`` crop, drawn from ``rng`` in that order; only the crop window
+    of the resized image is clipped.  A scene smaller than the crop sits
+    top-left on zeros and ignore labels (mixed per axis too)."""
     img, lab = scene.image, scene.labels.labels
     if rng.uniform() < cfg.flip_prob:
         img, lab = img[:, :, ::-1], lab[:, ::-1]
-    factor = cfg.scales[rng.randint(len(cfg.scales))]
+    factor = cfg.aug_scales[rng.randint(len(cfg.aug_scales))]
     if factor != 1.0:
         h, w = (max(int(round(size * factor)), 1) for size in lab.shape)
         img, lab = resize_image(img, h, w), resize_labels(lab, h, w)

@@ -31,6 +31,7 @@ _DTYPE_CODES = {
     np.dtype("u1"): 3,
 }
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_CPT_DTYPE_NAMES = {dt.name for dt in _CODE_DTYPES.values()}  # as checkpoint manifests write them
 MAGIC = b"CPT1"
 
 
@@ -102,9 +103,6 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_DTYPE_NAMES = {0: "float32", 1: "float64", 2: "int32", 3: "uint8"}
-
-
 def save_checkpoint(
     path: str,
     tensors: dict[str, np.ndarray],
@@ -123,9 +121,8 @@ def save_checkpoint(
         os.makedirs(os.path.join(tmp, "tensors"))
         for name in sorted(tensors):
             arr = tensors[name]
-            dt = _DTYPE_CODES[arr.dtype.newbyteorder("<")]
             shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-            lines.append(f"tensor {name} {_DTYPE_NAMES[dt]} {shape}")
+            lines.append(f"tensor {name} {arr.dtype.name} {shape}")
             write_cpt(os.path.join(tmp, "tensors", name + ".cpt"), arr)
         with open(os.path.join(tmp, "manifest.txt"), "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
@@ -157,7 +154,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
             if not ln.startswith("tensor "):
                 raise FormatError(f"{mpath}: unrecognized line {ln!r}")
             _, name, dtype_name, shape = ln.split(" ")
-            if dtype_name not in _DTYPE_NAMES.values():
+            if dtype_name not in _CPT_DTYPE_NAMES:
                 raise FormatError(f"{mpath}: unknown dtype {dtype_name!r} in {ln!r}")
             want = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
         except FormatError:

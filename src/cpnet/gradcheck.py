@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .affinity import global_affinity_loss, ideal_affinity_map, unary_affinity_loss
 from .context_prior import AggregationModule, ContextPriorLayer
-from .labelmap import LabelMap
+from .labelmap import IGNORE_INDEX, LabelMap
 from .network import CPNet, cpnet_forward, total_loss
 from .tensor import Graph, Tensor
 
@@ -241,16 +241,16 @@ def _bld_bilinear(rng):
 def _bld_softmax_ce(rng):
     logits = rng.normal(size=(2, 4, 3, 3)) * 2
     labels = rng.integers(0, 4, size=(2, 3, 3)).astype(np.int32)
-    labels[rng.random(size=labels.shape) < 0.2] = 255
-    if (labels != 255).sum() == 0:
+    labels[rng.random(size=labels.shape) < 0.2] = IGNORE_INDEX
+    if (labels != IGNORE_INDEX).sum() == 0:
         labels[0, 0, 0] = 1
-    return [logits], lambda tl: T.softmax_cross_entropy(tl, labels, 255)
+    return [logits], lambda tl: T.softmax_cross_entropy(tl, labels)
 
 
 def _random_affinity_target(rng, side=3, classes=3):
     labels = rng.integers(0, classes, size=(side, side)).astype(np.int32)
-    labels[rng.random(size=labels.shape) < 0.15] = 255
-    if (labels != 255).sum() == 0:
+    labels[rng.random(size=labels.shape) < 0.15] = IGNORE_INDEX
+    if (labels != IGNORE_INDEX).sum() == 0:
         labels[0, 0] = 0
     return ideal_affinity_map(LabelMap(labels), classes)
 
@@ -299,7 +299,7 @@ def _bld_context_prior(rng):
             p.value = tp
         feats, prior = layer(tx, "train")
         logits = T.conv2d(feats, thead)
-        ce = T.softmax_cross_entropy(logits, labels, 255)
+        ce = T.softmax_cross_entropy(logits, labels)
         lu = unary_affinity_loss(prior, targets)
         lg, _ = global_affinity_loss(prior, targets)
         return T.add(ce, T.add(lu, lg))
@@ -342,7 +342,7 @@ def full_model_check(progress: Callable[[str], None] | None = None) -> float:
                   seed=77, dtype="float64")
     image = Tensor(rng.random(size=(2, 3, 16, 16)))
     labels = rng.integers(0, 3, size=(2, 16, 16)).astype(np.int32)
-    labels[0, :2, :2] = 255
+    labels[0, :2, :2] = IGNORE_INDEX
     gts = [LabelMap(lab) for lab in labels]
 
     def loss_value() -> float:

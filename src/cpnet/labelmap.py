@@ -52,6 +52,3 @@ class LabelMap:
     def validate_classes(self, num_classes: int) -> None:
         """Raise if any non-ignored label falls outside [0, num_classes)."""
         check_classes(self.labels, self.ignore_index, num_classes)
-
-    def copy(self) -> "LabelMap":
-        return LabelMap(self.labels.copy())

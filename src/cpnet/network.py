@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .affinity import IdealAffinityMap, affinity_loss, downsample_labels, ideal_affinity_map
 from .context_prior import ContextPriorLayer
-from .labelmap import IGNORE_INDEX, LabelMap
+from .labelmap import LabelMap
 from .layers import Conv2d, ConvBnRelu, Module
 from .tensor import ShapeError
 
@@ -70,7 +70,8 @@ class CPNet(Module):
     """Backbone + context prior layer + segmentation and auxiliary heads.
 
     ``feat_hw`` fixes the feature-map side length the prior head is built
-    for (input side / 8).  ``use_context_prior=False`` drops the prior
+    for (input side / 8), and ``c1`` is the width of the aggregated context
+    (``TrainConfig.c1``).  ``use_context_prior=False`` drops the prior
     layer entirely: the seg head then reads the backbone features
     directly, everything else unchanged (the ablation arm).
     """
@@ -79,8 +80,8 @@ class CPNet(Module):
         self,
         num_classes: int,
         feat_hw: int,
+        c1: int,
         widths=(16, 32, 64, 64, 64),
-        c1: int | None = None,
         k: int = 11,
         use_context_prior: bool = True,
         seed: int = 0,
@@ -91,7 +92,7 @@ class CPNet(Module):
         self.backbone = ToyBackbone(widths, seed, dtype)
         c0 = self.backbone.widths[-1]
         self.c0 = c0
-        self.c1 = 2 * c0 if c1 is None else int(c1)
+        self.c1 = int(c1)
         n = self.feat_hw * self.feat_hw
         if use_context_prior:
             self.cp_layer = ContextPriorLayer("cp", c0, self.c1, n, k, seed, dtype)
@@ -166,8 +167,8 @@ def total_loss(
     lambda_g: float = 1.0,
 ) -> TotalLossTerms:
     labels = stack_labels(gt_batch)
-    seg = T.softmax_cross_entropy(logits, labels, IGNORE_INDEX)
-    aux = T.softmax_cross_entropy(aux_logits, labels, IGNORE_INDEX)
+    seg = T.softmax_cross_entropy(logits, labels)
+    aux = T.softmax_cross_entropy(aux_logits, labels)
     total = T.add(T.scale(seg, lambda_s), T.scale(aux, lambda_a))
     if p is not None:
         terms = affinity_loss(p, a, lambda_u, lambda_g)

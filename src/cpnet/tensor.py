@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-from .labelmap import LabelMap, check_classes
+from .labelmap import IGNORE_INDEX, check_classes
 
 _DTYPES = {
     "float32": np.dtype(np.float32),
@@ -830,28 +830,18 @@ def bilinear_upsample(x, factor: int) -> Tensor:
 # Labels and the segmentation loss
 # ---------------------------------------------------------------------------
 
-def _label_array(labels, ignore_index):
-    if isinstance(labels, LabelMap):
-        return labels.labels, labels.ignore_index
-    arr = np.asarray(labels)
-    if ignore_index is None:
-        raise ValueError("ignore_index required when labels is a raw array")
-    return arr.astype(np.int32), ignore_index
-
-
-def softmax_cross_entropy(logits, labels, ignore_index: int | None = None) -> Tensor:
-    """Mean of -log softmax(logits)[label] over non-ignored pixels."""
+def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[label] over the pixels whose label is not
+    IGNORE_INDEX; ``labels`` is an integer (B, H, W) array."""
     logits = _unwrap(logits)
     if logits.data.ndim != 4:
         raise ShapeError(f"logits must be [B,C,H,W], got {logits.shape}")
-    lab, ignore = _label_array(labels, ignore_index)
-    if lab.ndim == 2:
-        lab = lab[None]
+    lab = np.asarray(labels)
     bsz, c, h, w = logits.shape
     if lab.shape != (bsz, h, w):
         raise ShapeError(f"labels shape {lab.shape} does not match logits {logits.shape}")
-    check_classes(lab, ignore, c)
-    valid = lab != ignore
+    check_classes(lab, IGNORE_INDEX, c)
+    valid = lab != IGNORE_INDEX
     n = int(valid.sum())
     if n == 0:
         raise NumericError("softmax_cross_entropy: every pixel is ignored")

@@ -16,9 +16,7 @@ from . import tensor as T
 from .affinity import affinity_image, downsample_labels, ideal_affinity_map
 from .config import TrainConfig, parse_config, serialize_config
 from .data import (
-    AugmentConfig,
     ConfusionMatrix,
-    SceneConfig,
     SyntheticScene,
     augment,
     gen_synthetic_scene,
@@ -40,23 +38,6 @@ TAG_TRAIN_SCENES = 0x12
 TAG_VAL_SCENES = 0x13
 
 
-def scene_config(cfg: TrainConfig) -> SceneConfig:
-    return SceneConfig(
-        height=cfg.scene_size,
-        width=cfg.scene_size,
-        num_classes=cfg.num_classes,
-        shapes_per_image=cfg.shapes_per_image,
-        noise_std=cfg.noise_std,
-        shadow_prob=cfg.shadow_prob,
-        min_shape=cfg.min_shape,
-        max_shape=cfg.max_shape,
-    )
-
-
-def augment_config(cfg: TrainConfig) -> AugmentConfig:
-    return AugmentConfig(flip_prob=cfg.flip_prob, scales=cfg.aug_scales, crop=cfg.crop)
-
-
 def build_model(cfg: TrainConfig) -> CPNet:
     return CPNet(
         num_classes=cfg.num_classes,
@@ -71,7 +52,7 @@ def build_model(cfg: TrainConfig) -> CPNet:
 
 def val_scene(cfg: TrainConfig, i: int) -> SyntheticScene:
     """Scene ``i`` of the config's validation stream."""
-    return gen_synthetic_scene(derive(derive(cfg.seed, TAG_VAL_SCENES), i), scene_config(cfg))
+    return gen_synthetic_scene(derive(derive(cfg.seed, TAG_VAL_SCENES), i), cfg)
 
 
 def val_scenes(cfg: TrainConfig) -> list[SyntheticScene]:
@@ -206,8 +187,6 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
     params = model.parameters()
     opt = SgdMomentum(params, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     aug_rng = Rng(derive(cfg.seed, TAG_AUG))
-    sc = scene_config(cfg)
-    ac = augment_config(cfg)
     scene_base = derive(cfg.seed, TAG_TRAIN_SCENES)
     vset = val_scenes(cfg)
 
@@ -223,7 +202,7 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
     for it in range(cfg.total_iterations):
         step = it + 1
         seeds = [derive(scene_base, it * cfg.batch_size + i) for i in range(cfg.batch_size)]
-        batch = [augment(s, aug_rng, ac) for s in gen_synthetic_scenes(seeds, sc)]
+        batch = [augment(s, aug_rng, cfg) for s in gen_synthetic_scenes(seeds, cfg)]
         image = T.Tensor(np.stack([b.image for b in batch]))
         gts = [b.labels for b in batch]
 

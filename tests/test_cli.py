@@ -19,7 +19,7 @@ from cpnet.data import gen_synthetic_scene
 from cpnet.fileio import load_dataset, write_cpt
 from cpnet.labelmap import IGNORE_INDEX
 from cpnet.rng import derive
-from cpnet.train import TAG_VAL_SCENES, scene_config
+from cpnet.train import TAG_VAL_SCENES
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_gen_data_writes_the_validation_stream(cli_run):
     cfg = cli_run["cfg"]
     base = derive(cfg.seed, TAG_VAL_SCENES)
     for i, scene in enumerate(scenes):
-        want = gen_synthetic_scene(derive(base, i), scene_config(cfg))
+        want = gen_synthetic_scene(derive(base, i), cfg)
         assert np.array_equal(scene.image, want.image)
         assert np.array_equal(scene.labels.labels, want.labels.labels)
 

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpnet import fileio
-from cpnet.data import SceneConfig, gen_synthetic_scene
+from cpnet.config import TrainConfig
+from cpnet.data import gen_synthetic_scene
 from cpnet.fileio import (
     MAGIC,
     FormatError,
@@ -343,7 +344,7 @@ def test_checkpoint_requires_all_blobs(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_dataset_roundtrip(tmp_path):
-    cfg = SceneConfig(height=16, width=16, min_shape=4, max_shape=8)
+    cfg = TrainConfig(scene_size=16, min_shape=4, max_shape=8)
     scenes = [gen_synthetic_scene(seed, cfg) for seed in (5, 6, 7)]
     path = str(tmp_path / "data")
     save_dataset(path, scenes)
@@ -357,7 +358,7 @@ def test_dataset_roundtrip(tmp_path):
 
 
 def test_dataset_manifest_lists_every_pair(tmp_path):
-    cfg = SceneConfig(height=8, width=8, min_shape=3, max_shape=5)
+    cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
     path = str(tmp_path / "data")
     save_dataset(path, [gen_synthetic_scene(1, cfg)])
     names = sorted(os.listdir(path))
@@ -366,7 +367,7 @@ def test_dataset_manifest_lists_every_pair(tmp_path):
 
 
 def test_dataset_rejects_image_label_shape_mismatch(tmp_path):
-    cfg = SceneConfig(height=16, width=16, min_shape=4, max_shape=8)
+    cfg = TrainConfig(scene_size=16, min_shape=4, max_shape=8)
     path = str(tmp_path / "data")
     save_dataset(path, [gen_synthetic_scene(3, cfg)])
     write_cpt(os.path.join(path, "00000.lbl.cpt"), np.zeros((8, 8), dtype=np.int32))
@@ -379,7 +380,7 @@ def test_dataset_rejects_image_label_shape_mismatch(tmp_path):
 
 @pytest.mark.parametrize("entry", ["00000 seed=abc", "00000 seed"])
 def test_dataset_unparsable_manifest_seed_is_a_format_error(tmp_path, entry):
-    cfg = SceneConfig(height=8, width=8, min_shape=3, max_shape=5)
+    cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
     path = str(tmp_path / "data")
     save_dataset(path, [gen_synthetic_scene(1, cfg)])
     with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as f:

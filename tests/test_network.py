@@ -95,11 +95,6 @@ def test_seg_head_width_depends_on_the_context_branch():
     assert without.seg_head.weight.value.shape == (3, c0, 1, 1)
 
 
-def test_default_context_width_doubles_the_backbone_width():
-    model = CPNet(num_classes=2, feat_hw=2, widths=(4, 4, 8, 8, 8), k=3)
-    assert model.c1 == 2 * model.c0
-
-
 def test_parameter_names_are_unique_and_bn_is_decay_exempt():
     model = small_model()
     params = model.parameters()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpnet.labelmap import IGNORE_INDEX, LabelMap
+from cpnet.labelmap import IGNORE_INDEX
 from cpnet.rng import bulk_normal, bulk_uniform
 from cpnet.tensor import (
     BN_EPS,
@@ -668,14 +668,14 @@ def test_cross_entropy_matches_scalar_oracle():
     labels = (bulk_uniform(51, (2, 4, 4)) * 3).astype(np.int32)
     labels[0, 0, 0] = IGNORE_INDEX
     labels[1, 3, 3] = IGNORE_INDEX
-    got = softmax_cross_entropy(Tensor(logits), labels, ignore_index=IGNORE_INDEX)
+    got = softmax_cross_entropy(Tensor(logits), labels)
     assert got.item() == pytest.approx(ce_oracle(logits, labels, IGNORE_INDEX), rel=1e-12)
 
 
 def test_cross_entropy_of_uniform_logits_is_log_classes():
     logits = np.zeros((1, 5, 2, 2))
     labels = np.zeros((1, 2, 2), dtype=np.int32)
-    got = softmax_cross_entropy(Tensor(logits), labels, ignore_index=IGNORE_INDEX)
+    got = softmax_cross_entropy(Tensor(logits), labels)
     assert got.item() == pytest.approx(np.log(5.0), rel=1e-12)
 
 
@@ -683,7 +683,7 @@ def test_cross_entropy_is_stable_for_huge_logits():
     logits = np.zeros((1, 2, 1, 1))
     logits[0, 0] = 1e4
     labels = np.zeros((1, 1, 1), dtype=np.int32)
-    got = softmax_cross_entropy(Tensor(logits), labels, ignore_index=IGNORE_INDEX)
+    got = softmax_cross_entropy(Tensor(logits), labels)
     assert np.isfinite(got.item())
     assert got.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -692,16 +692,7 @@ def test_cross_entropy_rejects_fully_ignored_batches():
     logits = Tensor(np.zeros((1, 2, 2, 2)))
     labels = np.full((1, 2, 2), IGNORE_INDEX, dtype=np.int32)
     with pytest.raises(NumericError):
-        softmax_cross_entropy(logits, labels, ignore_index=IGNORE_INDEX)
-
-
-def test_cross_entropy_accepts_label_maps():
-    logits = rnd(52, (1, 3, 2, 2))
-    lab = LabelMap(np.array([[0, 1], [2, IGNORE_INDEX]], dtype=np.int32))
-    got = softmax_cross_entropy(Tensor(logits), lab)
-    assert got.item() == pytest.approx(
-        ce_oracle(logits, lab.labels[None], IGNORE_INDEX), rel=1e-12
-    )
+        softmax_cross_entropy(logits, labels)
 
 
 def ce_grad_oracle(logits, labels, ignore):
@@ -728,7 +719,7 @@ def test_cross_entropy_float32_matches_loop_oracle():
     labels[bulk_uniform(55, (2, 5, 6)) < 0.2] = IGNORE_INDEX
     lt = Tensor(logits)
     with Graph() as g:
-        loss = softmax_cross_entropy(lt, labels, ignore_index=IGNORE_INDEX)
+        loss = softmax_cross_entropy(lt, labels)
     grad = g.backward(loss)[lt]
     assert loss.dtype == "float32" and grad.dtype == np.float32
     want = ce_oracle(logits.astype(np.float64), labels, IGNORE_INDEX)
@@ -742,8 +733,7 @@ def test_cross_entropy_rejects_labels_outside_the_classes(bad):
     labels = np.zeros((1, 2, 2), dtype=np.int32)
     labels[0, 1, 0] = bad
     with pytest.raises(ValueError, match=rf"label {bad} at pixel \(0, 1, 0\) is outside \[0, 3\)"):
-        softmax_cross_entropy(Tensor(np.zeros((1, 3, 2, 2))), labels,
-                              ignore_index=IGNORE_INDEX)
+        softmax_cross_entropy(Tensor(np.zeros((1, 3, 2, 2))), labels)
 
 
 @given(st.integers(2, 6), st.integers(1, 3))
@@ -751,9 +741,9 @@ def test_cross_entropy_is_permutation_invariant_over_pixels(classes, bsz):
     # shuffling pixel order cannot change a mean over pixels
     logits = bulk_normal(60, (bsz, classes, 2, 3))
     labels = (bulk_uniform(61, (bsz, 2, 3)) * classes).astype(np.int32)
-    a = softmax_cross_entropy(Tensor(logits), labels, ignore_index=IGNORE_INDEX).item()
+    a = softmax_cross_entropy(Tensor(logits), labels).item()
     perm = np.random.RandomState(0).permutation(6)
     lg = logits.reshape(bsz, classes, 6)[:, :, perm].reshape(bsz, classes, 2, 3)
     lb = labels.reshape(bsz, 6)[:, perm].reshape(bsz, 2, 3)
-    b = softmax_cross_entropy(Tensor(lg), lb, ignore_index=IGNORE_INDEX).item()
+    b = softmax_cross_entropy(Tensor(lg), lb).item()
     assert a == pytest.approx(b, rel=1e-12)

@@ -24,7 +24,6 @@ from cpnet.train import (
     predict_scene_probs,
     predict_probs,
     save_model,
-    scene_config,
     train,
     val_scenes,
 )
@@ -131,7 +130,7 @@ def test_checkpoint_restores_identical_predictions(tiny_run, tmp_path):
     assert read_tree(result["checkpoint"]) == read_tree(resaved)
 
     other, _, _ = load_model(result["checkpoint"])
-    scene = gen_synthetic_scene(777, scene_config(cfg))
+    scene = gen_synthetic_scene(777, cfg)
     pa = predict_scene_probs(model, scene.image, cfg.crop)
     pb = predict_scene_probs(other, scene.image, cfg.crop)
     assert np.array_equal(pa, pb)
@@ -186,7 +185,7 @@ def test_flip_averaging_is_flip_equivariant(seed):
     """
     cfg = tiny_config(seed=seed)
     model = build_model(cfg)
-    scene = gen_synthetic_scene(seed + 50, scene_config(cfg))
+    scene = gen_synthetic_scene(seed + 50, cfg)
     flipped = np.ascontiguousarray(scene.image[:, :, ::-1])
 
     a = predict_scene_probs(model, scene.image, cfg.crop, flip=True)
@@ -197,7 +196,7 @@ def test_flip_averaging_is_flip_equivariant(seed):
 def test_tiling_pads_and_crops_back():
     cfg = tiny_config()
     model = build_model(cfg)
-    rng_img = gen_synthetic_scene(5, scene_config(cfg)).image
+    rng_img = gen_synthetic_scene(5, cfg).image
     img = np.tile(rng_img, (1, 2, 2))[:, :20, :20]  # not a window multiple
 
     probs = predict_probs(model, img, cfg.crop)
