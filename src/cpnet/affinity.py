@@ -3,9 +3,11 @@
 The affinity target for an H x W label grid is the N x N boolean matrix
 (N = H*W, flattened row-major) whose (j, i) entry is true exactly when
 pixels j and i carry the same class and neither is ignored.  It stays
-boolean all the way into the loss terms, which each stack it once.  The
-loss on a predicted prior map P combines a per-entry binary cross-entropy
-with row-wise precision / recall / specificity log terms.
+boolean all the way into the loss terms, which each stack it once.  Two
+loss terms supervise a predicted (B, N, N) prior map P: a per-entry binary
+cross-entropy (the unary term) and row-wise precision / recall /
+specificity log terms (the global term).  ``network.total_loss`` weights
+them with the run's ``TrainConfig``.
 
 Ignored pixels contribute nothing anywhere: their rows and columns are
 excluded from every sum and from the normalizing counts.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labelmap import LabelMap
-from .tensor import NumericError, ShapeError, Tensor, add, record, scale
+from .tensor import NumericError, ShapeError, Tensor, record
 
 EPS = 1e-7
 
@@ -68,20 +70,14 @@ def affinity_image(a: IdealAffinityMap) -> np.ndarray:
     return a.values.astype(np.uint8) * 255
 
 
-def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize (p, maps) to batched form: (B,N,N) prior, boolean targets
-    restricted to valid pairs, (B,N) validity."""
+def _stack(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (B,N,N) prior, the boolean targets restricted to valid pairs,
+    and the (B,N) validity."""
     if not isinstance(p, Tensor):
         raise TypeError("prior map must be a Tensor")
     pd = p.data
-    if pd.ndim == 2:
-        pd = pd[None]
     if pd.ndim != 3 or pd.shape[1] != pd.shape[2]:
-        raise ShapeError(f"prior map must be NxN or BxNxN, got {p.shape}")
-    if isinstance(maps, IdealAffinityMap):
-        maps = [maps]
-    else:
-        maps = list(maps)
+        raise ShapeError(f"prior map must be BxNxN, got {p.shape}")
     if len(maps) != pd.shape[0]:
         raise ShapeError(f"{pd.shape[0]} prior maps but {len(maps)} targets")
     n = pd.shape[1]
@@ -95,12 +91,12 @@ def _stack(p: Tensor, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pd, a, valid
 
 
-def unary_affinity_loss(p: Tensor, maps, eps: float = EPS) -> Tensor:
+def unary_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> Tensor:
     """Mean binary cross-entropy over valid pairs, averaged over the batch.
 
-    Probabilities are clamped to [eps, 1-eps] before the logs; the clamp
+    Probabilities are clamped to [EPS, 1-EPS] before the logs; the clamp
     gates the gradient (zero outside the open interval), so targets fed
-    back as predictions produce a loss within ~eps of zero and no blow-up.
+    back as predictions produce a loss within ~EPS of zero and no blow-up.
     With r = -p where the target is 1 and r = 1 - p where it is 0, each
     pair's loss is -log|r| and its gradient is 1/r.
     """
@@ -109,7 +105,7 @@ def unary_affinity_loss(p: Tensor, maps, eps: float = EPS) -> Tensor:
     if (nv == 0).any():
         raise NumericError("unary affinity loss: an image has no valid pixels")
     counts = nv.astype(np.float64) ** 2
-    r = np.subtract(~a, np.clip(pd, eps, 1.0 - eps), dtype=pd.dtype)
+    r = np.subtract(~a, np.clip(pd, EPS, 1.0 - EPS), dtype=pd.dtype)
     col = valid[:, :, None].astype(pd.dtype)
     rows = np.matmul(np.log(np.abs(r)), col)[:, :, 0]  # (B, N): sums over valid columns
     b = pd.shape[0]
@@ -119,8 +115,8 @@ def unary_affinity_loss(p: Tensor, maps, eps: float = EPS) -> Tensor:
     def bwd(g):
         s = (valid * (g / (b * counts))[:, None]).astype(pd.dtype)[:, :, None]
         dp = s / r
-        dp *= (pd > eps) & (pd < 1.0 - eps) & valid[:, None, :]
-        return (dp if p.data.ndim == 3 else dp[0],)
+        dp *= (pd > EPS) & (pd < 1.0 - EPS) & valid[:, None, :]
+        return (dp,)
 
     return record((p,), out, bwd)
 
@@ -134,7 +130,7 @@ class GlobalTerms:
     specificity: float
 
 
-def global_affinity_loss(p: Tensor, maps, eps: float = EPS) -> tuple[Tensor, GlobalTerms]:
+def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tensor, GlobalTerms]:
     """Row-wise precision / recall / specificity loss on the prior map.
 
     For each valid row j (sums over valid columns i of one image):
@@ -143,7 +139,7 @@ def global_affinity_loss(p: Tensor, maps, eps: float = EPS) -> tuple[Tensor, Glo
         T^r_j = log( sum(a*p) / sum(a) )
         T^s_j = log( sum((1-a)*(1-p)) / sum(1-a) )
 
-    each ratio clamped to [eps, 1].  A term whose denominator is zero is
+    each ratio clamped to [EPS, 1].  A term whose denominator is zero is
     skipped for that row (a single-class image has no specificity term).
     The loss is -(mean over batch of per-image means over valid rows) of
     the three terms' sum.
@@ -166,13 +162,13 @@ def global_affinity_loss(p: Tensor, maps, eps: float = EPS) -> tuple[Tensor, Glo
 
     def ratio(num, den):
         r = np.divide(num, den, out=np.ones_like(num), where=den > 0)
-        return np.clip(r, eps, 1.0)
+        return np.clip(r, EPS, 1.0)
 
     rp, rr, rs = ratio(s_ap, s_p), ratio(s_ap, s_a), ratio(s_in, s_na)
     # gate: row valid, denominator nonzero, ratio strictly inside the clamp
-    gp = valid & (s_p > 0) & (rp > eps) & (rp < 1.0)
-    gr = valid & (s_a > 0) & (rr > eps) & (rr < 1.0)
-    gs = valid & (s_na > 0) & (rs > eps) & (rs < 1.0)
+    gp = valid & (s_p > 0) & (rp > EPS) & (rp < 1.0)
+    gr = valid & (s_a > 0) & (rr > EPS) & (rr < 1.0)
+    gs = valid & (s_na > 0) & (rs > EPS) & (rs < 1.0)
 
     w = 1.0 / (b * nv.astype(np.float64))  # (B,)
 
@@ -197,31 +193,7 @@ def global_affinity_loss(p: Tensor, maps, eps: float = EPS) -> tuple[Tensor, Glo
         dp = a * ((k1 - k0) * row).astype(pd.dtype)[:, :, None]
         dp += (k0 * row).astype(pd.dtype)[:, :, None]
         dp *= valid[:, None, :]
-        return (dp if p.data.ndim == 3 else dp[0],)
+        return (dp,)
 
     return record((p,), out, bwd), terms
 
-
-@dataclass
-class AffinityLossTerms:
-    unary: Tensor
-    global_term: Tensor
-    precision_sum: float
-    recall_sum: float
-    specificity_sum: float
-    total: Tensor
-
-
-def affinity_loss(p: Tensor, maps, lambda_u: float = 1.0, lambda_g: float = 1.0) -> AffinityLossTerms:
-    """Weighted sum of the unary and global terms; gradient flows through both."""
-    unary = unary_affinity_loss(p, maps)
-    glob, gt = global_affinity_loss(p, maps)
-    total = add(scale(unary, lambda_u), scale(glob, lambda_g))
-    return AffinityLossTerms(
-        unary=unary,
-        global_term=glob,
-        precision_sum=gt.precision,
-        recall_sum=gt.recall,
-        specificity_sum=gt.specificity,
-        total=total,
-    )

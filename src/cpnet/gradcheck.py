@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .affinity import global_affinity_loss, ideal_affinity_map, unary_affinity_loss
+from .config import TrainConfig
 from .context_prior import AggregationModule, ContextPriorLayer
 from .labelmap import IGNORE_INDEX, LabelMap
 from .network import CPNet, cpnet_forward, total_loss
@@ -48,7 +49,7 @@ def _central_differences(flat: np.ndarray, loss: Callable[[], float], h: float) 
     return fd
 
 
-def fd_check(build: Callable, trials: int = 20, h: float = H_STEP, seed: int = 0) -> float:
+def fd_check(build: Callable, trials: int = 20, seed: int = 0) -> float:
     """Max relative error between tape gradients and central differences.
 
     ``build(rng) -> (arrays, f)`` where f maps one Tensor per array to a
@@ -71,7 +72,7 @@ def fd_check(build: Callable, trials: int = 20, h: float = H_STEP, seed: int = 0
             analytic = grads.get(tk)
             if analytic is None:
                 analytic = np.zeros_like(arr)
-            fd = _central_differences(arr.reshape(-1), eval_loss, h)
+            fd = _central_differences(arr.reshape(-1), eval_loss, H_STEP)
             worst = max(worst, rel_err(np.asarray(analytic).reshape(-1), fd))
     return worst
 
@@ -247,24 +248,25 @@ def _bld_softmax_ce(rng):
     return [logits], lambda tl: T.softmax_cross_entropy(tl, labels)
 
 
-def _random_affinity_target(rng, side=3, classes=3):
-    labels = rng.integers(0, classes, size=(side, side)).astype(np.int32)
+def _random_affinity_target(rng):
+    """A 3x3 grid of 3 classes, about 15% ignored, at least one pixel valid."""
+    labels = rng.integers(0, 3, size=(3, 3)).astype(np.int32)
     labels[rng.random(size=labels.shape) < 0.15] = IGNORE_INDEX
     if (labels != IGNORE_INDEX).sum() == 0:
         labels[0, 0] = 0
-    return ideal_affinity_map(LabelMap(labels), classes)
+    return ideal_affinity_map(LabelMap(labels), 3)
 
 
 def _bld_affinity_unary(rng):
     a = _random_affinity_target(rng)
-    p = rng.uniform(0.05, 0.95, size=(a.n, a.n))
-    return [p], lambda tp: unary_affinity_loss(tp, a)
+    p = rng.uniform(0.05, 0.95, size=(1, a.n, a.n))
+    return [p], lambda tp: unary_affinity_loss(tp, [a])
 
 
 def _bld_affinity_global(rng):
     a = _random_affinity_target(rng)
-    p = rng.uniform(0.05, 0.95, size=(a.n, a.n))
-    return [p], lambda tp: global_affinity_loss(tp, a)[0]
+    p = rng.uniform(0.05, 0.95, size=(1, a.n, a.n))
+    return [p], lambda tp: global_affinity_loss(tp, [a])[0]
 
 
 def _bld_aggregation(rng):
@@ -344,17 +346,18 @@ def full_model_check(progress: Callable[[str], None] | None = None) -> float:
     labels = rng.integers(0, 3, size=(2, 16, 16)).astype(np.int32)
     labels[0, :2, :2] = IGNORE_INDEX
     gts = [LabelMap(lab) for lab in labels]
+    cfg = TrainConfig()  # the stock loss weights
 
     def loss_value() -> float:
         logits, aux, prior, a = cpnet_forward(model, image, gts)
-        return total_loss(logits, aux, prior, a, gts).total.item()
+        return total_loss(logits, aux, prior, a, gts, cfg).total.item()
 
     params = model.parameters()
     for param in params:
         param.zero_grad()
     with Graph() as g:
         logits, aux, prior, a = cpnet_forward(model, image, gts)
-        terms = total_loss(logits, aux, prior, a, gts)
+        terms = total_loss(logits, aux, prior, a, gts, cfg)
     g.backward(terms.total)
 
     worst = 0.0

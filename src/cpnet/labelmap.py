@@ -10,10 +10,10 @@ import numpy as np
 IGNORE_INDEX = 255
 
 
-def check_classes(labels: np.ndarray, ignore_index: int, num_classes: int) -> None:
-    """Raise ValueError naming the first non-ignored label outside
-    [0, num_classes); ``labels`` may have any rank."""
-    bad = (labels != ignore_index) & ((labels < 0) | (labels >= num_classes))
+def check_classes(labels: np.ndarray, num_classes: int) -> None:
+    """Raise ValueError naming the first label other than IGNORE_INDEX
+    outside [0, num_classes); ``labels`` may have any rank."""
+    bad = (labels != IGNORE_INDEX) & ((labels < 0) | (labels >= num_classes))
     if bad.any():
         at = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"label {labels[at]} at pixel {at} is outside [0, {num_classes})")
@@ -51,4 +51,4 @@ class LabelMap:
 
     def validate_classes(self, num_classes: int) -> None:
         """Raise if any non-ignored label falls outside [0, num_classes)."""
-        check_classes(self.labels, self.ignore_index, num_classes)
+        check_classes(self.labels, num_classes)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import affinity
 from . import tensor as T
-from .affinity import IdealAffinityMap, affinity_loss, downsample_labels, ideal_affinity_map
+from .config import TrainConfig
 from .context_prior import ContextPriorLayer
 from .labelmap import LabelMap
 from .layers import Conv2d, ConvBnRelu, Module
@@ -121,16 +122,15 @@ class CPNet(Module):
 class TotalLossTerms:
     seg: T.Tensor
     aux: T.Tensor
-    prior: T.Tensor | None
     prior_unary: float
     prior_global: float
     total: T.Tensor
 
 
-def affinity_targets(gt_batch, num_classes: int, feat_hw: int) -> list[IdealAffinityMap]:
+def affinity_targets(gt_batch, num_classes: int, feat_hw: int) -> list[affinity.IdealAffinityMap]:
     """Downsample each ground-truth map to the feature grid and build targets."""
     return [
-        ideal_affinity_map(downsample_labels(gt, feat_hw, feat_hw), num_classes)
+        affinity.ideal_affinity_map(affinity.downsample_labels(gt, feat_hw, feat_hw), num_classes)
         for gt in gt_batch
     ]
 
@@ -150,34 +150,26 @@ def cpnet_forward(model: CPNet, image: T.Tensor, gt_batch: list[LabelMap]):
     return logits, aux, p, a
 
 
-def stack_labels(gt_batch) -> np.ndarray:
-    return np.stack([gt.labels for gt in gt_batch])
-
-
 def total_loss(
     logits: T.Tensor,
     aux_logits: T.Tensor,
     p: T.Tensor | None,
-    a: list[IdealAffinityMap] | None,
+    a: list[affinity.IdealAffinityMap] | None,
     gt_batch: list[LabelMap],
-    lambda_s: float = 1.0,
-    lambda_a: float = 0.4,
-    lambda_p: float = 1.0,
-    lambda_u: float = 1.0,
-    lambda_g: float = 1.0,
+    cfg: TrainConfig,
 ) -> TotalLossTerms:
-    labels = stack_labels(gt_batch)
+    """L = lambda_s*L_s + lambda_a*L_a + lambda_p*(lambda_u*L_u + lambda_g*L_g),
+    with the weights of ``cfg``; without the prior layer the prior terms read 0."""
+    labels = np.stack([gt.labels for gt in gt_batch])
     seg = T.softmax_cross_entropy(logits, labels)
     aux = T.softmax_cross_entropy(aux_logits, labels)
-    total = T.add(T.scale(seg, lambda_s), T.scale(aux, lambda_a))
+    total = T.add(T.scale(seg, cfg.lambda_s), T.scale(aux, cfg.lambda_a))
+    pu = pg = 0.0
     if p is not None:
-        terms = affinity_loss(p, a, lambda_u, lambda_g)
-        total = T.add(total, T.scale(terms.total, lambda_p))
-        prior = terms.total
-        pu, pg = terms.unary.item(), terms.global_term.item()
-    else:
-        prior, pu, pg = None, 0.0, 0.0
-    return TotalLossTerms(
-        seg=seg, aux=aux, prior=prior,
-        prior_unary=pu, prior_global=pg, total=total,
-    )
+        # called through the module, so wrappers installed on it see each term
+        unary = affinity.unary_affinity_loss(p, a)
+        glob, _ = affinity.global_affinity_loss(p, a)
+        prior = T.add(T.scale(unary, cfg.lambda_u), T.scale(glob, cfg.lambda_g))
+        total = T.add(total, T.scale(prior, cfg.lambda_p))
+        pu, pg = unary.item(), glob.item()
+    return TotalLossTerms(seg=seg, aux=aux, prior_unary=pu, prior_global=pg, total=total)

@@ -45,18 +45,15 @@ class NumericError(ArithmeticError):
     """A numeric contract was violated (non-finite value, degenerate input)."""
 
 
-def _canon(data, dtype=None) -> np.ndarray:
-    if dtype is not None:
-        arr = np.asarray(data, dtype=_DTYPES[dtype])
-    else:
-        arr = np.asarray(data)
-        if arr.dtype not in _NP_TO_NAME:
-            if np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype(np.float64)
-            elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
-                arr = arr.astype(np.int32)
-            else:
-                raise ShapeError(f"unsupported dtype {arr.dtype}")
+def _canon(data) -> np.ndarray:
+    arr = np.asarray(data)
+    if arr.dtype not in _NP_TO_NAME:
+        if np.issubdtype(arr.dtype, np.floating):
+            arr = arr.astype(np.float64)
+        elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
+            arr = arr.astype(np.int32)
+        else:
+            raise ShapeError(f"unsupported dtype {arr.dtype}")
     # ascontiguousarray would promote 0-d scalars to 1-d; keep rank as-is
     return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
 
@@ -66,8 +63,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype: str | None = None):
-        self.data = _canon(data, dtype)
+    def __init__(self, data):
+        self.data = _canon(data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,9 +101,9 @@ class Parameter:
 
     __slots__ = ("name", "value", "grad", "decay")
 
-    def __init__(self, name: str, value, dtype: str | None = None, decay: bool = True):
+    def __init__(self, name: str, value, decay: bool = True):
         self.name = name
-        self.value = value if isinstance(value, Tensor) else Tensor(value, dtype)
+        self.value = value if isinstance(value, Tensor) else Tensor(value)
         if not self.value.is_float():
             raise ShapeError(f"parameter {name} must be float, got {self.value.dtype}")
         self.grad = Tensor(np.zeros_like(self.value.data))
@@ -711,13 +708,12 @@ def batch_norm(
     beta,
     state: BatchNormState,
     mode: str = "train",
-    momentum: float = BN_MOMENTUM,
-    eps: float = BN_EPS,
 ) -> Tensor:
     """Channelwise normalization over (B,H,W); population variance throughout.
 
     Train mode normalizes by batch statistics and folds them into the
-    running estimates as ``running = momentum*running + (1-momentum)*batch``;
+    running estimates as ``running = m*running + (1-m)*batch`` with
+    m = BN_MOMENTUM, and ``BN_EPS`` keeps the variance off zero;
     eval mode normalizes by the running estimates.
     """
     x, gamma, beta = _unwrap(x), _unwrap(gamma), _unwrap(beta)
@@ -740,9 +736,9 @@ def batch_norm(
         mean = xd.mean(axis=(0, 2, 3))
         xhat = xd - mean[None, :, None, None]
         var = _channel_dot(xhat, xhat) / m
-        state.running_mean[...] = momentum * state.running_mean + (1 - momentum) * mean
-        state.running_var[...] = momentum * state.running_var + (1 - momentum) * var
-        inv_std = (1.0 / np.sqrt(var + eps))[None, :, None, None]
+        state.running_mean[...] = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
+        state.running_var[...] = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
+        inv_std = (1.0 / np.sqrt(var + BN_EPS))[None, :, None, None]
         xhat *= inv_std
         out = xhat * gd
         out += bd
@@ -759,7 +755,7 @@ def batch_norm(
         return record((x, gamma, beta), Tensor(out), bwd)
 
     mean = state.running_mean.copy()[None, :, None, None]  # read again by bwd_eval
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)[None, :, None, None]
     s = gd * inv_std
     out = xd * s
     out += bd - mean * s
@@ -840,7 +836,7 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     bsz, c, h, w = logits.shape
     if lab.shape != (bsz, h, w):
         raise ShapeError(f"labels shape {lab.shape} does not match logits {logits.shape}")
-    check_classes(lab, IGNORE_INDEX, c)
+    check_classes(lab, c)
     valid = lab != IGNORE_INDEX
     n = int(valid.sum())
     if n == 0:

@@ -175,11 +175,19 @@ def _format_loss(v: float) -> str:
     return f"{v:.8f}"
 
 
+def _append_line(path: str, line: str) -> None:
+    """Add one row to a log, on disk before the run goes on."""
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+
+
 def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
     """Run the configured training; returns paths and final metrics.
 
     Writes ``loss.csv`` (per-step losses), ``eval.csv`` (periodic and
-    final metrics), periodic checkpoints, and ``ckpt_final``.
+    final metrics), periodic checkpoints, and ``ckpt_final``.  Each log
+    starts with its header and gains each row as it is made, so a run
+    that stops early keeps the rows of the steps it finished.
     """
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
@@ -192,8 +200,10 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
 
     csv_path = os.path.join(out_dir, "loss.csv")
     eval_path = os.path.join(out_dir, "eval.csv")
-    csv_lines = ["step,lr,L_s,L_a,L_u,L_g,total"]
-    eval_lines = ["step,pix_acc,miou"]
+    for path, header in ((csv_path, "step,lr,L_s,L_a,L_u,L_g,total"),
+                         (eval_path, "step,pix_acc,miou")):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(header + "\n")
 
     if cfg.total_iterations == 0:
         save_model(os.path.join(out_dir, "ckpt_final"), model, cfg, 0, aug_rng.state())
@@ -210,11 +220,7 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
             p.zero_grad()
         with T.Graph() as g:
             logits, aux, prior, targets = cpnet_forward(model, image, gts)
-            terms = total_loss(
-                logits, aux, prior, targets, gts,
-                lambda_s=cfg.lambda_s, lambda_a=cfg.lambda_a, lambda_p=cfg.lambda_p,
-                lambda_u=cfg.lambda_u, lambda_g=cfg.lambda_g,
-            )
+            terms = total_loss(logits, aux, prior, targets, gts, cfg)
         total = terms.total.item()
         if not np.isfinite(total):
             raise NumericError(
@@ -226,7 +232,7 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         opt.step(params, lr)
 
         if cfg.log_every and step % cfg.log_every == 0:
-            csv_lines.append(",".join([
+            _append_line(csv_path, ",".join([
                 str(step), repr(lr),
                 _format_loss(terms.seg.item()), _format_loss(terms.aux.item()),
                 _format_loss(terms.prior_unary), _format_loss(terms.prior_global),
@@ -238,7 +244,7 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         is_last = step == cfg.total_iterations
         if is_last or (cfg.eval_every and step % cfg.eval_every == 0):
             pa, miou = evaluate(model, vset, cfg.crop, cfg.eval_scales, cfg.eval_flip)
-            eval_lines.append(f"{step},{_format_loss(pa)},{_format_loss(miou)}")
+            _append_line(eval_path, f"{step},{_format_loss(pa)},{_format_loss(miou)}")
             final_metrics = (pa, miou)
             if progress is not None:
                 progress(f"step {step}: pixAcc {pa:.4f} mIoU {miou:.4f}")
@@ -248,11 +254,6 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         if is_last:
             save_model(os.path.join(out_dir, "ckpt_final"), model, cfg, step,
                        aug_rng.state())
-
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(csv_lines) + "\n")
-    with open(eval_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(eval_lines) + "\n")
 
     return {
         "loss_csv": csv_path,

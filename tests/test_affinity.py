@@ -16,7 +16,6 @@ from cpnet.affinity import (
     EPS,
     IdealAffinityMap,
     affinity_image,
-    affinity_loss,
     downsample_labels,
     global_affinity_loss,
     ideal_affinity_map,
@@ -168,14 +167,6 @@ def test_unary_loss_matches_oracle():
     assert got == pytest.approx(unary_oracle(pb, maps), rel=1e-12)
 
 
-def test_unary_loss_accepts_a_single_map():
-    m = ideal_affinity_map(random_labels(31, 2, 2), 2)
-    pb = random_prior(6, 4)
-    single = unary_affinity_loss(Tensor(pb[0]), m).item()
-    batched = unary_affinity_loss(Tensor(pb), [m]).item()
-    assert single == batched
-
-
 def test_unary_loss_at_the_target_is_nearly_zero():
     m = ideal_affinity_map(random_labels(17, 4, 3), 3)
     loss = unary_affinity_loss(Tensor(m.values[None].astype(np.float64)), [m]).item()
@@ -205,22 +196,22 @@ def test_unary_loss_batch_is_mean_of_per_image_losses():
     maps = [ideal_affinity_map(random_labels(s, 3, 3), 3) for s in (41, 42)]
     pb = random_prior(10, 9, batch=2)
     both = unary_affinity_loss(Tensor(pb), maps).item()
-    first = unary_affinity_loss(Tensor(pb[0]), maps[0]).item()
-    second = unary_affinity_loss(Tensor(pb[1]), maps[1]).item()
+    first = unary_affinity_loss(Tensor(pb[:1]), [maps[0]]).item()
+    second = unary_affinity_loss(Tensor(pb[1:]), [maps[1]]).item()
     assert both == pytest.approx((first + second) / 2, rel=1e-12)
 
 
 def test_unary_gradient_is_gated_by_the_clamp():
     gt = LabelMap(np.array([[0, 1], [0, 1]], dtype=np.int32))
     m = ideal_affinity_map(gt, 2)
-    p = random_prior(11, 4)[0]
-    p[0, 0] = 0.0  # saturated at the clamp boundary: no gradient may pass
+    p = random_prior(11, 4)
+    p[0, 0, 0] = 0.0  # saturated at the clamp boundary: no gradient may pass
     pt = Tensor(p)
     with Graph() as g:
         loss = unary_affinity_loss(pt, [m])
     grads = g.backward(loss)
-    assert grads[pt][0, 0] == 0.0
-    assert grads[pt][1, 1] != 0.0
+    assert grads[pt][0, 0, 0] == 0.0
+    assert grads[pt][0, 1, 1] != 0.0
 
 
 def test_unary_loss_rejects_fully_ignored_images():
@@ -284,8 +275,8 @@ def test_global_loss_batch_is_mean_of_per_image_losses():
     maps = [ideal_affinity_map(random_labels(s, 3, 3), 3) for s in (61, 62)]
     pb = random_prior(16, 9, batch=2)
     both, _ = global_affinity_loss(Tensor(pb), maps)
-    one, _ = global_affinity_loss(Tensor(pb[0]), maps[0])
-    two, _ = global_affinity_loss(Tensor(pb[1]), maps[1])
+    one, _ = global_affinity_loss(Tensor(pb[:1]), [maps[0]])
+    two, _ = global_affinity_loss(Tensor(pb[1:]), [maps[1]])
     assert both.item() == pytest.approx((one.item() + two.item()) / 2, rel=1e-12)
 
 
@@ -294,7 +285,7 @@ def test_global_gradient_matches_finite_differences():
     # gates are all open on every row, exercising the full bracket
     gt = LabelMap(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 2]], dtype=np.int32))
     m = ideal_affinity_map(gt, 3)
-    p = random_prior(17, 9)[0]
+    p = random_prior(17, 9)
     pt = Tensor(p)
     with Graph() as g:
         loss, _ = global_affinity_loss(pt, [m])
@@ -305,11 +296,11 @@ def test_global_gradient_matches_finite_differences():
     for j in range(9):
         for i in range(9):
             up, dn = p.copy(), p.copy()
-            up[j, i] += h
-            dn[j, i] -= h
+            up[0, j, i] += h
+            dn[0, j, i] -= h
             lu, _ = global_affinity_loss(Tensor(up), [m])
             ld, _ = global_affinity_loss(Tensor(dn), [m])
-            fd[j, i] = (lu.item() - ld.item()) / (2 * h)
+            fd[0, j, i] = (lu.item() - ld.item()) / (2 * h)
     assert np.allclose(grad, fd, atol=1e-6)
 
 
@@ -360,36 +351,8 @@ def test_target_ones_on_invalid_pairs_are_ignored(fn):
 
 
 # ---------------------------------------------------------------------------
-# Combined loss and input validation
+# Input validation
 # ---------------------------------------------------------------------------
-
-def test_affinity_loss_combines_terms_linearly():
-    m = ideal_affinity_map(random_labels(71, 3, 3), 3)
-    pb = random_prior(18, 9)
-    terms = affinity_loss(Tensor(pb), [m], lambda_u=2.0, lambda_g=0.25)
-    assert terms.total.item() == pytest.approx(
-        2.0 * terms.unary.item() + 0.25 * terms.global_term.item(), rel=1e-12
-    )
-
-
-def test_affinity_loss_gradient_flows_through_both_terms():
-    m = ideal_affinity_map(random_labels(72, 2, 2), 2)
-    pb = random_prior(19, 4)
-    pt = Tensor(pb)
-    with Graph() as g:
-        terms = affinity_loss(pt, [m], lambda_u=1.0, lambda_g=1.0)
-    combined = g.backward(terms.total)[pt]
-
-    pt2 = Tensor(pb)
-    with Graph() as g2:
-        u = unary_affinity_loss(pt2, [m])
-    gu = g2.backward(u)[pt2]
-    pt3 = Tensor(pb)
-    with Graph() as g3:
-        gl, _ = global_affinity_loss(pt3, [m])
-    gg = g3.backward(gl)[pt3]
-    assert np.allclose(combined, gu + gg, atol=1e-12)
-
 
 def test_shape_validation():
     m = ideal_affinity_map(random_labels(73, 2, 2), 2)
@@ -402,3 +365,5 @@ def test_shape_validation():
         unary_affinity_loss(Tensor(random_prior(21, 4)), [bad_n])
     with pytest.raises(TypeError):
         unary_affinity_loss(random_prior(22, 4), [m])
+    with pytest.raises(ShapeError):  # one image is a batch of one
+        unary_affinity_loss(Tensor(random_prior(23, 4)[0]), [m])

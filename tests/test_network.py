@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cpnet.config import TrainConfig
 from cpnet.labelmap import IGNORE_INDEX, LabelMap
 from cpnet.network import (
     DILATIONS,
@@ -12,12 +13,15 @@ from cpnet.network import (
     CPNet,
     affinity_targets,
     cpnet_forward,
-    stack_labels,
     total_loss,
 )
 from cpnet.optim import SgdMomentum
 from cpnet.rng import Rng, bulk_uniform
 from cpnet.tensor import Graph, ShapeError, Tensor, conv2d
+
+
+# the five loss weights; lambda_p, lambda_u and lambda_g differ from the stock 1.0
+WEIGHTS = TrainConfig(lambda_s=1.0, lambda_a=0.4, lambda_p=0.7, lambda_u=1.3, lambda_g=0.5)
 
 
 def rnd_image(seed, batch, side):
@@ -180,11 +184,6 @@ def test_affinity_targets_downsample_then_compare():
     assert np.array_equal(maps[0].values, same.astype(float))
 
 
-def test_stack_labels_shape():
-    gts = rnd_labels(7, 3, 8)
-    assert stack_labels(gts).shape == (3, 8, 8)
-
-
 def test_cpnet_forward_validates_batch_agreement():
     model = small_model()
     with pytest.raises(ShapeError):
@@ -198,16 +197,11 @@ def test_total_loss_is_the_stated_weighted_sum():
     img = rnd_image(12, 2, 16)
     gts = rnd_labels(13, 2, 16)
     logits, aux, p, a = cpnet_forward(model, img, gts)
-    terms = total_loss(logits, aux, p, a, gts,
-                       lambda_s=1.0, lambda_a=0.4, lambda_p=0.7,
-                       lambda_u=1.3, lambda_g=0.5)
-    prior_combined = terms.prior.item()
-    want = 1.0 * terms.seg.item() + 0.4 * terms.aux.item() + 0.7 * prior_combined
+    terms = total_loss(logits, aux, p, a, gts, WEIGHTS)
+    assert terms.prior_unary > 0.0 and terms.prior_global > 0.0
+    want = (1.0 * terms.seg.item() + 0.4 * terms.aux.item()
+            + 0.7 * (1.3 * terms.prior_unary + 0.5 * terms.prior_global))
     assert terms.total.item() == pytest.approx(want, rel=1e-6)
-    # and the prior term itself splits into its two weighted halves
-    assert prior_combined == pytest.approx(
-        1.3 * terms.prior_unary + 0.5 * terms.prior_global, rel=1e-6
-    )
 
 
 def test_total_loss_without_prior_branch():
@@ -216,8 +210,7 @@ def test_total_loss_without_prior_branch():
     gts = rnd_labels(15, 1, 16)
     logits, aux, p, a = cpnet_forward(model, img, gts)
     assert p is None and a is None
-    terms = total_loss(logits, aux, p, a, gts, lambda_s=1.0, lambda_a=0.4)
-    assert terms.prior is None
+    terms = total_loss(logits, aux, p, a, gts, WEIGHTS)
     assert terms.prior_unary == 0.0 and terms.prior_global == 0.0
     want = terms.seg.item() + 0.4 * terms.aux.item()
     assert terms.total.item() == pytest.approx(want, rel=1e-6)
@@ -232,7 +225,7 @@ def test_loss_sees_every_parameter():
         p.zero_grad()
     with Graph() as g:
         logits, aux, p, a = cpnet_forward(model, img, gts)
-        terms = total_loss(logits, aux, p, a, gts)
+        terms = total_loss(logits, aux, p, a, gts, TrainConfig())
     g.backward(terms.total)
     silent = [q.name for q in model.parameters() if not q.grad.data.any()]
     assert silent == []
@@ -251,11 +244,11 @@ def test_single_step_decreases_the_loss_in_at_least_95_of_100_trials():
             p.zero_grad()
         with Graph() as g:
             logits, aux, pr, a = cpnet_forward(model, img, gts)
-            before = total_loss(logits, aux, pr, a, gts)
+            before = total_loss(logits, aux, pr, a, gts, TrainConfig())
         g.backward(before.total)
         opt.step(params, lr=1e-4)
         logits, aux, pr, a = cpnet_forward(model, img, gts)
-        after = total_loss(logits, aux, pr, a, gts)
+        after = total_loss(logits, aux, pr, a, gts, TrainConfig())
         if after.total.item() < before.total.item():
             wins += 1
     assert wins >= 95, f"loss decreased in only {wins}/{trials} trials"

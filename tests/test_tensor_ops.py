@@ -66,7 +66,7 @@ def test_dtype_canonicalization():
     assert Tensor(np.ones(3, dtype=np.float32)).dtype == "float32"
     assert Tensor(np.ones(3, dtype=np.float16)).dtype == "float64"
     assert Tensor(np.array([True, False])).dtype == "int32"
-    assert Tensor([1, 2], dtype="uint8").dtype == "uint8"
+    assert Tensor(np.array([1, 2], dtype=np.uint8)).dtype == "uint8"
 
 
 def test_zero_dim_tensors_keep_their_rank():

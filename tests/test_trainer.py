@@ -347,3 +347,17 @@ def test_runaway_step_size_raises_numeric_error(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite loss"):
             train(cfg, str(tmp_path))
+
+
+def test_interrupted_run_keeps_the_log_rows_it_made(tmp_path):
+    for name in ("loss.csv", "eval.csv"):  # an earlier run's logs are replaced
+        (tmp_path / name).write_text("stale\n", encoding="utf-8")
+    cfg = TrainConfig(base_lr=1e25, total_iterations=6, batch_size=2, val_scenes=1,
+                      eval_every=0, checkpoint_every=0, eval_scales=(1.0,), eval_flip=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="at step 2"):
+            train(cfg, str(tmp_path))
+    rows = (tmp_path / "loss.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "step,lr,L_s,L_a,L_u,L_g,total"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1"]
+    assert (tmp_path / "eval.csv").read_text(encoding="utf-8") == "step,pix_acc,miou\n"
