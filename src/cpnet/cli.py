@@ -55,15 +55,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _override(cfg, key: str, value: str, flag: str):
+    """``cfg`` with ``key`` set from a flag's text, under the config file's rules."""
+    from .config import ConfigError, override
+
+    try:
+        return override(cfg, key, value)
+    except ConfigError as e:
+        raise ConfigError(f"{flag}: {e}") from None
+
+
 def _cmd_gen_data(args) -> int:
     from .config import load_config
     from .fileio import save_dataset
     from .train import val_scene
 
     cfg = load_config(args.config)
-    count = cfg.val_scenes if args.count is None else args.count
-    save_dataset(args.out, [val_scene(cfg, i) for i in range(count)])
-    print(f"wrote {count} scenes to {args.out}")
+    if args.count is not None:
+        cfg = _override(cfg, "val_scenes", str(args.count), "--count")
+    save_dataset(args.out, [val_scene(cfg, i) for i in range(cfg.val_scenes)])
+    print(f"wrote {cfg.val_scenes} scenes to {args.out}")
     return 0
 
 
@@ -94,11 +105,8 @@ def _cmd_eval(args) -> int:
     if not any(scene.labels.valid.any() for scene in scenes):
         raise FormatError(f"{args.data}: no labelled pixel to evaluate")
     if args.scales is not None:
-        scales = tuple(float(s) for s in args.scales.split(",") if s.strip())
-        if not scales:
-            raise SystemExit(1)
-    else:
-        scales = cfg.eval_scales
+        cfg = _override(cfg, "eval_scales", args.scales, "--scales")
+    scales = cfg.eval_scales
     flip = args.flip or cfg.eval_flip
     pa, miou = evaluate(model, scenes, cfg.crop, scales, flip)
     print(f"scenes {len(scenes)} scales {','.join(str(s) for s in scales)} "

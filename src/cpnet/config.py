@@ -10,7 +10,7 @@ same model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
@@ -129,9 +129,21 @@ def serialize_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}  # each value's type
+
+
+def _assign(cfg: TrainConfig, key: str, value: str) -> None:
+    """Set ``key`` from the text of a ``key = value`` line."""
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        setattr(cfg, key, _parse_value(value, _DEFAULTS[key]))
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key}: {e}") from None
+
+
 def parse_config(text: str) -> TrainConfig:
     cfg = TrainConfig()
-    known = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,17 +151,27 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _parse_value(value, known[key]))
-        except ValueError as e:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from None
+            _assign(cfg, key.strip(), value.strip())
+        except ConfigError as e:
+            raise ConfigError(f"line {lineno}: {e}") from None
+    cfg.validate()
+    return cfg
+
+
+def override(cfg: TrainConfig, key: str, value: str) -> TrainConfig:
+    """A validated copy of ``cfg`` with ``key`` set from ``value`` as a
+    config line would set it."""
+    cfg = replace(cfg)
+    _assign(cfg, key, value)
     cfg.validate()
     return cfg
 
 
 def load_config(path: str) -> TrainConfig:
-    with open(path, encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_config(text)

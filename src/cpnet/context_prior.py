@@ -75,8 +75,8 @@ def _complement_context(xr: T.Tensor, y: T.Tensor) -> T.Tensor:
     """(1 - P) X_r from Y = P X_r: every row is colsum(X_r) - Y."""
     out = T.Tensor(xr.data.sum(axis=1, keepdims=True) - y.data)
 
-    def bwd(g):
-        return np.broadcast_to(g.sum(axis=1, keepdims=True), xr.shape), -g
+    def bwd(g):  # g, Y and X_r share one shape
+        return np.broadcast_to(g.sum(axis=1, keepdims=True), g.shape), -g
 
     return T.record((xr, y), out, bwd)
 

@@ -57,8 +57,11 @@ def write_cpt(path: str, arr: np.ndarray) -> None:
 
 
 def read_cpt(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except ValueError as e:  # a NUL in a name read from a manifest
+        raise FormatError(f"{path!r}: {e}") from None
     if blob[:4] != MAGIC or len(blob) < 6:
         raise FormatError(f"{path}: not a CPT1 file")
     code, rank = blob[4], blob[5]
@@ -136,10 +139,18 @@ def save_checkpoint(
     shutil.rmtree(old, ignore_errors=True)
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode are a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
     mpath = os.path.join(path, "manifest.txt")
-    with open(mpath, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(mpath).split("\n") if ln.strip()]
     step = None
     rng_state = None
     tensors: dict[str, np.ndarray] = {}
@@ -169,9 +180,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
         tensors[name] = arr
     if step is None or rng_state is None:
         raise FormatError(f"{mpath}: missing step or rng entries")
-    with open(os.path.join(path, "config.txt"), encoding="utf-8") as f:
-        config_text = f.read()
-    return tensors, step, rng_state, config_text
+    return tensors, step, rng_state, _read_text(os.path.join(path, "config.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +201,8 @@ def save_dataset(path: str, scenes) -> None:
 
 
 def load_dataset(path: str):
-    with open(os.path.join(path, "manifest.txt"), encoding="utf-8") as f:
-        entries = [ln.split() for ln in f if ln.strip()]
+    manifest = _read_text(os.path.join(path, "manifest.txt"))
+    entries = [ln.split() for ln in manifest.split("\n") if ln.strip()]
     scenes = []
     for parts in entries:
         sid = parts[0]

@@ -7,6 +7,15 @@ when a :class:`Graph` is active, append a node carrying a backward rule to
 its tape.  The tape is recorded in execution order, which is already a
 topological order, so ``Graph.backward`` is a single reverse sweep.
 
+What the tape holds: each node is the serial keys and shapes of its
+inputs, its output's key and a backward closure, and each closure keeps
+only the arrays its rule reads (``relu`` and ``sigmoid`` their output, a
+conv its columns or input, batch norm its normalized input).  The tape
+holds no :class:`Tensor`, so a conv output that only feeds batch norm, or
+a batch-norm output that only feeds ``relu``, is freed as soon as the
+caller drops it.  Gradients are routed by key: every tensor draws a
+process-unique key at creation, so a freed tensor's key is never reused.
+
 Gradient accumulation contract: ``Graph.backward`` adds into each reachable
 :class:`Parameter`'s ``.grad`` exactly once per call; calling it twice
 without zeroing doubles the gradients.  The sweep frees each intermediate
@@ -18,6 +27,7 @@ raises KeyError.
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 
 import numpy as np
@@ -58,13 +68,19 @@ def _canon(data) -> np.ndarray:
     return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
 
 
-class Tensor:
-    """Dense row-major array restricted to {float32, float64, int32, uint8}."""
+_KEYS = itertools.count()
 
-    __slots__ = ("data",)
+
+class Tensor:
+    """Dense row-major array restricted to {float32, float64, int32, uint8}.
+
+    ``key`` is unique in the process: the tape routes gradients by it."""
+
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         self.data = _canon(data)
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,17 +151,15 @@ def active_graph() -> "Graph | None":
 class Gradients:
     """Read-only view of the gradients computed by one backward pass."""
 
-    def __init__(self, by_id: dict):
-        self._by_id = by_id
+    def __init__(self, by_key: dict):
+        self._by_key = by_key
 
     def __contains__(self, t: Tensor) -> bool:
-        key = t.value if isinstance(t, Parameter) else t
-        return id(key) in self._by_id
+        return (t.value if isinstance(t, Parameter) else t).key in self._by_key
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        key = t.value if isinstance(t, Parameter) else t
         try:
-            return self._by_id[id(key)]
+            return self._by_key[(t.value if isinstance(t, Parameter) else t).key]
         except KeyError:
             raise KeyError("tensor did not receive a gradient") from None
 
@@ -157,8 +171,9 @@ class Graph:
     """Tape of recorded operations; context manager enables recording."""
 
     def __init__(self):
-        self.nodes: list[tuple] = []  # (input tensors, output tensor, backward fn)
-        self._params: dict[int, Parameter] = {}
+        # ((input key, input shape), ...), output key, backward fn
+        self.nodes: list[tuple] = []
+        self._params: dict[int, Parameter] = {}  # by the key of .value
 
     def __enter__(self) -> "Graph":
         _graph_stack().append(self)
@@ -176,25 +191,25 @@ class Graph:
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
         for inputs, out, bwd in reversed(self.nodes):
             # a node's output gradient is complete once the sweep reaches it,
             # and nothing reads it after its node has consumed it
-            gout = grads.pop(id(out), None)
+            gout = grads.pop(out, None)
             if gout is None:
                 continue
-            for t, gi in zip(inputs, bwd(gout)):
+            for (key, shape), gi in zip(inputs, bwd(gout)):
                 if gi is None:
                     continue
-                if gi.shape != t.data.shape:
+                if gi.shape != shape:
                     raise ShapeError(
                         f"backward produced grad shape {gi.shape} for input "
-                        f"shape {t.data.shape}"
+                        f"shape {shape}"
                     )
-                acc = grads.get(id(t))
-                grads[id(t)] = gi if acc is None else acc + gi
-        for tid, p in self._params.items():
-            g = grads.get(tid)
+                acc = grads.get(key)
+                grads[key] = gi if acc is None else acc + gi
+        for key, p in self._params.items():
+            g = grads.get(key)
             if g is not None:
                 p.grad.data += g
         return Gradients(grads)
@@ -204,7 +219,7 @@ def _unwrap(x) -> Tensor:
     if isinstance(x, Parameter):
         g = active_graph()
         if g is not None:
-            g._params[id(x.value)] = x
+            g._params[x.value.key] = x
         return x.value
     if isinstance(x, Tensor):
         return x
@@ -215,11 +230,13 @@ def record(inputs, out: Tensor, bwd) -> Tensor:
     """Append one node to the active tape (no-op when nothing is recording).
 
     ``bwd(grad_out) -> tuple`` must return one gradient array (or None) per
-    input, in order.  Exposed so other modules can define fused operations.
+    input, in order.  The tape keeps the inputs' keys and shapes, not the
+    inputs, so ``bwd`` should close over only the arrays it reads.  Exposed
+    so other modules can define fused operations.
     """
     g = active_graph()
     if g is not None:
-        g.nodes.append((tuple(inputs), out, bwd))
+        g.nodes.append((tuple((t.key, t.data.shape) for t in inputs), out.key, bwd))
     return out
 
 
@@ -330,9 +347,9 @@ def sum_axis(a, axis: int) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _unwrap(a)
-    ad = a.data
-    out = Tensor(np.maximum(ad, 0))
-    return record((a,), out, lambda g: (g * (ad > 0),))
+    out = Tensor(np.maximum(a.data, 0))
+    od = out.data  # od > 0 exactly where the input is > 0
+    return record((a,), out, lambda g: (g * (od > 0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -853,9 +870,9 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     out = Tensor(np.asarray(loss, dtype=ld.dtype))
 
     def bwd(g):
-        dx = ez / se
+        dx = ez / se  # the logits' dtype
         dx -= hit
-        dx *= (valid * (g / n)).astype(ld.dtype)[:, None]
+        dx *= (valid * (g / n)).astype(dx.dtype)[:, None]
         return (dx,)
 
     return record((logits,), out, bwd)

@@ -218,9 +218,8 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
 
         for p in params:
             p.zero_grad()
-        with T.Graph() as g:
-            logits, aux, prior, targets = cpnet_forward(model, image, gts)
-            terms = total_loss(logits, aux, prior, targets, gts, cfg)
+        with T.Graph() as g:  # the loss alone outlives the forward's outputs
+            terms = total_loss(*cpnet_forward(model, image, gts), gts, cfg)
         total = terms.total.item()
         if not np.isfinite(total):
             raise NumericError(
@@ -230,14 +229,15 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         g.backward(terms.total)
         lr = poly_lr(it, cfg.total_iterations, cfg.base_lr, cfg.poly_power)
         opt.step(params, lr)
+        losses = (terms.seg.item(), terms.aux.item(), terms.prior_unary, terms.prior_global,
+                  total)
+        # nothing reads the tape or the batch past the update: free them
+        # before the next batch is made or the model is evaluated
+        del g, terms, image, batch, gts
 
         if cfg.log_every and step % cfg.log_every == 0:
-            _append_line(csv_path, ",".join([
-                str(step), repr(lr),
-                _format_loss(terms.seg.item()), _format_loss(terms.aux.item()),
-                _format_loss(terms.prior_unary), _format_loss(terms.prior_global),
-                _format_loss(total),
-            ]))
+            _append_line(csv_path, ",".join([str(step), repr(lr)]
+                                            + [_format_loss(v) for v in losses]))
         if progress is not None and (step % 100 == 0 or step == 1):
             progress(f"step {step}/{cfg.total_iterations} lr {lr:.4f} total {total:.4f}")
 

@@ -131,15 +131,17 @@ def test_bad_config_exits_1(capsys, tmp_path):
     assert "config error:" in capsys.readouterr().err
 
 
+def _run_cli(*args):
+    src = os.path.dirname(os.path.dirname(cpnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "cpnet.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def _run_cli_with_config(tmp_path, line, *args):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n", encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(cpnet.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-m", "cpnet.cli", args[0], "--config", str(path), *args[1:]],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return _run_cli(args[0], "--config", str(path), *args[1:])
 
 
 @pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0",
@@ -162,6 +164,53 @@ def test_oversized_scene_exits_1_from_gen_data(tmp_path):
     assert proc.stderr.startswith("config error: scene_size")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--scales", "abc"), ("--scales", "nan"), ("--scales", "inf"), ("--scales", "0"),
+    ("--scales", "-1"), ("--scales", ","), ("--count", "-5"), ("--count", "0"),
+])
+def test_bad_numeric_flag_exits_1_without_a_traceback(cli_run, tmp_path, flag, value):
+    # --scales used to end in a ValueError or OverflowError traceback, evaluate
+    # a 1 px image or exit 1 silently; --count -5 used to report 5 scenes written
+    if flag == "--scales":
+        proc = _run_cli("eval", "--ckpt", cli_run["ckpt"], "--data", cli_run["data"],
+                        f"--scales={value}")
+        key = "eval_scales"
+    else:
+        proc = _run_cli("gen-data", "--config", cli_run["config"],
+                        "--out", str(tmp_path / "d"), f"--count={value}")
+        key = "val_scenes"
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"config error: {flag}: ")
+    assert key in proc.stderr and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_undecodable_config_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"crop = 32\nseed = \xff\xfe\n")
+    out = tmp_path / "out"
+    assert entry([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not UTF-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["ckpt/manifest.txt", "ckpt/config.txt",
+                                    "data/manifest.txt"])
+def test_undecodable_text_file_exits_3(cli_run, capsys, tmp_path, target):
+    ckpt, data = str(tmp_path / "ckpt"), str(tmp_path / "data")
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    shutil.copytree(cli_run["data"], data)
+    with open(tmp_path / target, "ab") as f:
+        f.write(b"\xc3\x28\n")  # a lead byte whose continuation is missing
+    assert entry(["eval", "--ckpt", ckpt, "--data", data]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "not UTF-8" in err
+    assert os.path.basename(target) in err
 
 
 def test_missing_config_exits_3(capsys, tmp_path):

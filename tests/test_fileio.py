@@ -339,6 +339,60 @@ def test_checkpoint_requires_all_blobs(tmp_path):
         load_checkpoint(path)
 
 
+def fuzzed(*plausible):
+    """A plausible token, or any short text."""
+    return st.one_of(st.sampled_from(plausible), st.text(max_size=12))
+
+
+def manifests(*lines):
+    """Up to eight lines drawn from ``lines`` or any text, joined by newlines."""
+    return st.lists(st.one_of(*lines, st.text(max_size=16)), max_size=8).map("\n".join)
+
+
+@st.composite
+def as_bytes(draw, texts):
+    """Text encoded as UTF-8 with a few raw bytes spliced in (often not UTF-8)."""
+    raw = draw(texts).encode("utf-8")
+    i = draw(st.integers(0, len(raw)))
+    return raw[:i] + draw(st.binary(min_size=1, max_size=4)) + raw[i:]
+
+
+CKPT_MANIFESTS = manifests(
+    fuzzed("0", "123", "-4", " 7", "1e3", "0x10", "").map("step = {}".format),
+    st.lists(fuzzed("0000000000000001", "ffffffffffffffff", "zz", "-1"), max_size=5).map(
+        lambda toks: "rng = " + " ".join(toks)),
+    st.tuples(
+        fuzzed("layer.weight", "layer.running", "meta.count", "", "../tensors/layer.weight"),
+        fuzzed("float32", "float64", "int32", "uint8", "float33"),
+        fuzzed("2x3", "3", "scalar", "3x2", "2xq", "-1", "0"),
+    ).map(lambda t: "tensor {} {} {}".format(*t)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_ckpt(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "ckpt")
+    save_checkpoint(path, *ckpt_fixture())
+    return path
+
+
+@given(manifest=st.one_of(CKPT_MANIFESTS, as_bytes(CKPT_MANIFESTS), st.binary(max_size=80)))
+def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest):
+    """Fuzzed step, rng and tensor lines, as text and as raw bytes: only
+    FormatError or OSError escapes, and a manifest that loads gives typed values."""
+    if isinstance(manifest, str):
+        manifest = manifest.encode("utf-8")
+    with open(os.path.join(fuzz_ckpt, "manifest.txt"), "wb") as f:
+        f.write(manifest)
+    try:
+        tensors, step, rng_state, _text = load_checkpoint(fuzz_ckpt)
+    except (FormatError, OSError):
+        return
+    assert isinstance(step, int)
+    assert all(isinstance(word, int) for word in rng_state)
+    assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
+
+
 # ---------------------------------------------------------------------------
 # Dataset directories
 # ---------------------------------------------------------------------------
@@ -387,3 +441,34 @@ def test_dataset_unparsable_manifest_seed_is_a_format_error(tmp_path, entry):
         f.write(entry + "\n")
     with pytest.raises(FormatError, match="manifest entry"):
         load_dataset(path)
+
+
+DATASET_MANIFESTS = manifests(
+    st.tuples(fuzzed("00000", "00001", "00002", "", "../data/00000"),
+              fuzzed("seed=1", "seed=-3", "seed=", "seed", "seed=0x1", "1")).map(" ".join),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
+    path = str(tmp_path_factory.mktemp("fuzz") / "data")
+    save_dataset(path, [gen_synthetic_scene(seed, cfg) for seed in (1, 2)])
+    return path
+
+
+@given(manifest=st.one_of(DATASET_MANIFESTS, as_bytes(DATASET_MANIFESTS), st.binary(max_size=80)))
+def test_dataset_fuzzed_manifest_is_format_error_or_loads(fuzz_dataset, manifest):
+    """Fuzzed scene entries, as text and as raw bytes: only FormatError or
+    OSError escapes, and each scene that loads is an image with its labels."""
+    if isinstance(manifest, str):
+        manifest = manifest.encode("utf-8")
+    with open(os.path.join(fuzz_dataset, "manifest.txt"), "wb") as f:
+        f.write(manifest)
+    try:
+        scenes = load_dataset(fuzz_dataset)
+    except (FormatError, OSError):
+        return
+    for scene in scenes:
+        assert scene.image.shape == (3, 8, 8) and scene.labels.labels.shape == (8, 8)
+        assert isinstance(scene.seed, int)

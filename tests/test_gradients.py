@@ -6,21 +6,27 @@ handful of closed-form gradient identities that hold exactly, with no
 step-size error to budget for.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from cpnet import gradcheck
 from cpnet.rng import bulk_uniform
 from cpnet.tensor import (
+    BatchNormState,
     Graph,
     Parameter,
     ShapeError,
     Tensor,
     add,
+    batch_norm,
     clamp,
+    conv2d,
     matmul,
     mul,
     relu,
+    scale,
     sum_all,
 )
 
@@ -159,6 +165,64 @@ def test_nested_graphs_record_independently():
         grads = inner.backward(loss)
     assert np.allclose(grads[x], 2 * x.data, atol=1e-15)
     assert len(outer.nodes) == 1
+
+
+def _conv_bn_relu_step(keep: bool):
+    """Record conv2d -> batch_norm -> relu, drop the conv and BN outputs
+    unless ``keep``, then backward; returns which of their arrays are still
+    alive before the backward, and the parameter gradients."""
+    params = [Parameter("w", rnd(20, (4, 3, 3, 3))),
+              Parameter("gamma", rnd(21, (4,), 0.5, 1.5)),
+              Parameter("beta", rnd(22, (4,)))]
+    x = Tensor(rnd(23, (2, 3, 6, 6)))
+    c = Tensor(rnd(24, (2, 4, 6, 6)))
+    with Graph() as g:
+        conv = conv2d(x, params[0], padding=1)
+        bn = batch_norm(conv, params[1], params[2], BatchNormState(4, "float64"))
+        loss = sum_all(mul(relu(bn), c))
+    refs = [weakref.ref(conv.data), weakref.ref(bn.data)]
+    if not keep:
+        del conv, bn
+    alive = [r() is not None for r in refs]
+    g.backward(loss)
+    return alive, [p.grad.data for p in params]
+
+
+def test_tape_holds_no_array_that_no_backward_reads():
+    # batch norm's backward reads its normalized input, not the conv output,
+    # and relu's reads its own output, not the BN output
+    alive, grads = _conv_bn_relu_step(keep=False)
+    alive_kept, grads_kept = _conv_bn_relu_step(keep=True)
+    assert alive_kept == [True, True]
+    assert alive == [False, False]
+    for got, want in zip(grads, grads_kept):
+        assert np.array_equal(got, want)
+
+
+def test_gradients_route_through_many_dropped_intermediates():
+    # each scale output is dropped as soon as add has read it, so Python may
+    # give a later tensor its id(); the tape's keys are never reused
+    ids, keys = set(), set()
+    for _ in range(100):
+        t = Tensor(np.zeros(1))
+        ids.add(id(t))
+        keys.add(t.key)
+        del t
+    assert len(keys) == 100 and len(ids) < 100
+
+    n = 200
+    x = Tensor(rnd(25, (5,)))
+    p = Parameter("p", rnd(26, (5,)))
+    with Graph() as g:
+        acc = x
+        for _ in range(n):
+            acc = add(scale(acc, 0.5), p)  # acc_n = 0.5^n x + (2 - 2 * 0.5^n) p
+        loss = sum_all(mul(acc, acc))
+    grads = g.backward(loss)
+    dacc = 2 * acc.data
+    assert np.allclose(grads[x], 0.5 ** n * dacc, rtol=1e-12, atol=0)
+    assert np.allclose(grads[p], (2 - 2 * 0.5 ** n) * dacc, rtol=1e-12, atol=0)
+    assert np.array_equal(p.grad.data, grads[p])
 
 
 def test_full_network_finite_difference():
