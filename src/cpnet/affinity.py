@@ -4,10 +4,16 @@ The affinity target for an H x W label grid is the N x N boolean matrix
 (N = H*W, flattened row-major) whose (j, i) entry is true exactly when
 pixels j and i carry the same class and neither is ignored.  It stays
 boolean all the way into the loss terms, which each stack it once.  Two
-loss terms supervise a predicted (B, N, N) prior map P: a per-entry binary
-cross-entropy (the unary term) and row-wise precision / recall /
+loss terms supervise a predicted prior map: a per-entry binary
+cross-entropy (the unary term) and per-query precision / recall /
 specificity log terms (the global term).  ``network.total_loss`` weights
 them with the run's ``TrainConfig``.
+
+The terms take the map in the model's key-major layout, Q = P^T of shape
+(B, N_key, N_query): entry (b, i, j) scores whether key pixel i shares
+query pixel j's class.  The target and the validity masks are symmetric,
+so the unary term reads Q exactly as it would read P, and the global
+term's per-query sums run over axis 1.
 
 Ignored pixels contribute nothing anywhere: their rows and columns are
 excluded from every sum and from the normalizing counts.
@@ -91,6 +97,12 @@ def _stack(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[np.ndarray, np.ndar
     return pd, a, valid
 
 
+def _residual(pd: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """r = (not a) - clip(p, EPS, 1-EPS), in the prior's dtype."""
+    r = np.clip(pd, EPS, 1.0 - EPS)
+    return np.subtract(~a, r, out=r)
+
+
 def unary_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> Tensor:
     """Mean binary cross-entropy over valid pairs, averaged over the batch.
 
@@ -98,23 +110,26 @@ def unary_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> Tensor:
     gates the gradient (zero outside the open interval), so targets fed
     back as predictions produce a loss within ~EPS of zero and no blow-up.
     With r = -p where the target is 1 and r = 1 - p where it is 0, each
-    pair's loss is -log|r| and its gradient is 1/r.
+    pair's loss is -log|r| and its gradient is 1/r.  The backward keeps the
+    boolean target, not r, and rebuilds r bit for bit from it and the prior.
     """
     pd, a, valid = _stack(p, maps)
     nv = valid.sum(axis=1)
     if (nv == 0).any():
         raise NumericError("unary affinity loss: an image has no valid pixels")
     counts = nv.astype(np.float64) ** 2
-    r = np.subtract(~a, np.clip(pd, EPS, 1.0 - EPS), dtype=pd.dtype)
+    log_r = _residual(pd, a)
+    np.log(np.abs(log_r, out=log_r), out=log_r)
     col = valid[:, :, None].astype(pd.dtype)
-    rows = np.matmul(np.log(np.abs(r)), col)[:, :, 0]  # (B, N): sums over valid columns
+    rows = np.matmul(log_r, col)[:, :, 0]  # (B, N): sums over valid columns
     b = pd.shape[0]
     per_image = -(rows * valid).sum(axis=1, dtype=np.float64) / counts
     out = Tensor(np.asarray(per_image.mean(), dtype=pd.dtype))
 
     def bwd(g):
         s = (valid * (g / (b * counts))[:, None]).astype(pd.dtype)[:, :, None]
-        dp = s / r
+        dp = _residual(pd, a)
+        np.divide(s, dp, out=dp)
         dp *= (pd > EPS) & (pd < 1.0 - EPS) & valid[:, None, :]
         return (dp,)
 
@@ -131,21 +146,22 @@ class GlobalTerms:
 
 
 def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tensor, GlobalTerms]:
-    """Row-wise precision / recall / specificity loss on the prior map.
+    """Per-query precision / recall / specificity loss on the prior map.
 
-    For each valid row j (sums over valid columns i of one image):
+    For each valid query j (sums over valid keys i of one image, that is,
+    over row j of P or column j of the key-major Q):
 
         T^p_j = log( sum(a*p) / sum(p) )
         T^r_j = log( sum(a*p) / sum(a) )
         T^s_j = log( sum((1-a)*(1-p)) / sum(1-a) )
 
     each ratio clamped to [EPS, 1].  A term whose denominator is zero is
-    skipped for that row (a single-class image has no specificity term).
-    The loss is -(mean over batch of per-image means over valid rows) of
-    the three terms' sum.
+    skipped for that query (a single-class image has no specificity term).
+    The loss is -(mean over batch of per-image means over valid queries)
+    of the three terms' sum.
 
     Only sum(p) and sum(a*p) read the prior map; sum(a) is a count, and
-    sum((1-a)*(1-p)) = sum(1-a) - sum(p) + sum(a*p).  Row sums accumulate
+    sum((1-a)*(1-p)) = sum(1-a) - sum(p) + sum(a*p).  The sums accumulate
     in float64 because that difference can cancel.
     """
     pd, a, valid = _stack(p, maps)
@@ -154,9 +170,9 @@ def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tenso
         raise NumericError("global affinity loss: an image has no valid rows")
     b = pd.shape[0]
 
-    s_p = (pd * valid[:, None, :]).sum(axis=2, dtype=np.float64)  # (B, N)
-    s_ap = (pd * a).sum(axis=2, dtype=np.float64)
-    s_a = np.count_nonzero(a, axis=2).astype(np.float64)
+    s_p = np.einsum("bi,bij->bj", valid.astype(np.float64), pd)  # (B, N_query)
+    s_ap = np.einsum("bij,bij->bj", pd, a, dtype=np.float64)
+    s_a = np.count_nonzero(a, axis=1).astype(np.float64)
     s_na = nv[:, None] - s_a
     s_in = s_na - s_p + s_ap
 
@@ -165,7 +181,7 @@ def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tenso
         return np.clip(r, EPS, 1.0)
 
     rp, rr, rs = ratio(s_ap, s_p), ratio(s_ap, s_a), ratio(s_in, s_na)
-    # gate: row valid, denominator nonzero, ratio strictly inside the clamp
+    # gate: query valid, denominator nonzero, ratio strictly inside the clamp
     gp = valid & (s_p > 0) & (rp > EPS) & (rp < 1.0)
     gr = valid & (s_a > 0) & (rr > EPS) & (rr < 1.0)
     gs = valid & (s_na > 0) & (rs > EPS) & (rs < 1.0)
@@ -184,15 +200,16 @@ def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tenso
             inv_sap = np.where(s_ap > 0, 1.0 / s_ap, 0.0)
             inv_sp = np.where(s_p > 0, 1.0 / s_p, 0.0)
             inv_sin = np.where(s_in > 0, 1.0 / s_in, 0.0)
-        # d(T^p + T^r + T^s)_j / dp_ji on valid columns i, by target value;
+        # d(T^p + T^r + T^s)_j / dq_ij on valid keys i, by target value;
         # precision and recall share the d(sum a*p) part
         k1 = (gp.astype(np.float64) + gr) * inv_sap - gp * inv_sp
         k0 = -(gp * inv_sp) - gs * inv_sin
         row = -g * w[:, None]
         # k0 + a * (k1 - k0): a product, as a branch on a costs more
-        dp = a * ((k1 - k0) * row).astype(pd.dtype)[:, :, None]
-        dp += (k0 * row).astype(pd.dtype)[:, :, None]
-        dp *= valid[:, None, :]
+        dp = a.astype(pd.dtype)
+        dp *= ((k1 - k0) * row).astype(pd.dtype)[:, None, :]
+        dp += (k0 * row).astype(pd.dtype)[:, None, :]
+        dp *= valid[:, :, None]
         return (dp,)
 
     return record((p,), out, bwd), terms

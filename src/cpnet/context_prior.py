@@ -4,19 +4,24 @@ The aggregation module condenses local spatial evidence with two
 asymmetric fully separable convolutions (k x 1 then 1 x k, each split
 into depthwise + pointwise).  A 1x1 head on the aggregated features
 predicts an N x N prior map P (N = H*W) whose row j scores, for every
-pixel i, whether i belongs to pixel j's class.  P and its complement
-then gather class-consistent and class-inconsistent context:
+pixel i, whether i belongs to pixel j's class.  The head's channel c is
+key pixel c, so its sigmoid, reshaped to (B, N, N), is already Q = P^T
+(rows are keys, columns are queries); the layer works in that key-major
+layout and never transposes.  With X_a the aggregated features as a
+(B, C1, N) matrix, Q and its complement gather class-consistent and
+class-inconsistent context channels-first:
 
-    Y    = P (1/N-free) matmul X_r      same-class summary per pixel
-    Ybar = (1 - P) matmul X_r           different-class summary
+    Y^T    = X_a Q  (1/N-free)          same-class summary per pixel
+    Ybar^T = X_a (1 - Q)                different-class summary
 
-and the layer output is concat(X, Y, Ybar) on the channel axis.  Ybar is
-computed through the identity
+and the layer output is concat(X, Y, Ybar) on the channel axis.  Ybar^T
+is computed through the identity
 
-    (1 - P) X_r = 1 colsum(X_r) - P X_r = colsum(X_r) - Y
+    X_a (1 - Q) = rowsum(X_a) 1^T - X_a Q = rowsum(X_a) - Y^T
 
-(each row of Ybar is the channel totals minus that row of Y), so neither
-the N x N complement 1 - P nor a second N x N product is formed.
+(each column of Ybar^T is the channel totals minus that column of Y^T),
+so neither the N x N complement 1 - Q nor a second N x N product is
+formed.
 """
 
 from __future__ import annotations
@@ -71,14 +76,14 @@ class AggregationModule(Module):
         return T.relu(self.bn2(self.fs2(h), mode))
 
 
-def _complement_context(xr: T.Tensor, y: T.Tensor) -> T.Tensor:
-    """(1 - P) X_r from Y = P X_r: every row is colsum(X_r) - Y."""
-    out = T.Tensor(xr.data.sum(axis=1, keepdims=True) - y.data)
+def _complement_context(xa: T.Tensor, y: T.Tensor) -> T.Tensor:
+    """X_a (1 - Q) from Y^T = X_a Q: every column is rowsum(X_a) - Y^T."""
+    out = T.Tensor(xa.data.sum(axis=2, keepdims=True) - y.data)
 
-    def bwd(g):  # g, Y and X_r share one shape
-        return np.broadcast_to(g.sum(axis=1, keepdims=True), g.shape), -g
+    def bwd(g):  # g, Y^T and X_a share one shape, (B, C1, N)
+        return np.broadcast_to(g.sum(axis=2, keepdims=True), g.shape), -g
 
-    return T.record((xr, y), out, bwd)
+    return T.record((xa, y), out, bwd)
 
 
 class ContextPriorLayer(Module):
@@ -105,26 +110,25 @@ class ContextPriorLayer(Module):
                 f"{h}x{w} (N={h * w})"
             )
         logits = self.prior_bn(self.prior_conv(x_agg), mode)
-        p = T.sigmoid(logits)  # (B, N, H, W); channel = key pixel index
-        p = T.reshape(p, (b, self.n, self.n))
-        # row index must be the query pixel's spatial position
-        return T.transpose(p, (0, 2, 1))
+        q = T.sigmoid(logits)  # (B, N, H, W); channel = key pixel index
+        # Q = P^T: row = key pixel, column = query pixel's spatial position
+        return T.reshape(q, (b, self.n, self.n))
 
     def __call__(self, x: T.Tensor, mode: str) -> tuple[T.Tensor, T.Tensor]:
         b, c0, h, w = x.shape
         if c0 != self.c0:
             raise ShapeError(f"expected {self.c0} input channels, got {c0}")
         xa = self.aggregation(x, mode)
-        p = self.prior_head(xa, mode)
-        xr = T.transpose(T.reshape(xa, (b, self.c1, self.n)), (0, 2, 1))  # (B,N,C1)
-        y = T.bmm(p, xr)
-        ybar = _complement_context(xr, y)
+        q = self.prior_head(xa, mode)
+        xa = T.reshape(xa, (b, self.c1, self.n))
+        y = T.bmm(xa, q)  # Y^T, (B, C1, N): already channels-first
+        ybar = _complement_context(xa, y)
 
         def to_map(t):
-            return T.reshape(T.transpose(t, (0, 2, 1)), (b, self.c1, h, w))
+            return T.reshape(t, (b, self.c1, h, w))
 
         out = T.concat([x, to_map(y), to_map(ybar)], axis=1)
-        return out, p
+        return out, q
 
 
 def macs_standard_conv(h: int, w: int, k: int, cin: int, cout: int) -> int:

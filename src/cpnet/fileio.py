@@ -139,6 +139,13 @@ def save_checkpoint(
     shutil.rmtree(old, ignore_errors=True)
 
 
+def _check_plain_name(name: str, where: str) -> None:
+    """A manifest name must name a file inside its own directory: not empty,
+    ``.`` or ``..``, and with no directory part (no separator, no root)."""
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise FormatError(f"{where}: name {name!r} is not a plain file name")
+
+
 def _read_text(path: str) -> str:
     """A UTF-8 text file's contents; bytes that do not decode are a FormatError."""
     try:
@@ -165,6 +172,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
             if not ln.startswith("tensor "):
                 raise FormatError(f"{mpath}: unrecognized line {ln!r}")
             _, name, dtype_name, shape = ln.split(" ")
+            _check_plain_name(name, mpath)
             if dtype_name not in _CPT_DTYPE_NAMES:
                 raise FormatError(f"{mpath}: unknown dtype {dtype_name!r} in {ln!r}")
             want = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
@@ -206,6 +214,7 @@ def load_dataset(path: str):
     scenes = []
     for parts in entries:
         sid = parts[0]
+        _check_plain_name(sid, path)
         try:
             seed = int(parts[1].split("=", 1)[1]) if len(parts) > 1 else 0
         except (ValueError, IndexError) as e:

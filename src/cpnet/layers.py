@@ -28,7 +28,10 @@ def _name_tag(name: str) -> int:
 def uniform_init(seed: int, name: str, shape, fan_in: int, dtype: str) -> T.Tensor:
     bound = 1.0 / np.sqrt(fan_in)
     u = R.bulk_uniform(R.derive(seed, _name_tag(name)), shape)
-    return T.Tensor(((u * 2.0 - 1.0) * bound).astype(T._DTYPES[dtype]))
+    u *= 2.0
+    u -= 1.0
+    u *= bound
+    return T.Tensor(u.astype(T._DTYPES[dtype]))
 
 
 class Module:

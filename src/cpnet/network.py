@@ -105,17 +105,18 @@ class CPNet(Module):
         self.aux_head = AuxHead("aux_head", self.backbone.widths[3], num_classes, seed, dtype)
 
     def forward(self, image: T.Tensor, mode: str = "train"):
-        """Returns (logits, aux_logits, P); P is None without the prior layer,
-        aux_logits in eval mode, since only the training loss reads them."""
+        """Returns (logits, aux_logits, Q); Q = P^T is the key-major prior map
+        (B, N_key, N_query), None without the prior layer; aux_logits is None
+        in eval mode, since only the training loss reads them."""
         stage4, stage5 = self.backbone(image, mode)
         if self.cp_layer is not None:
-            feats, p = self.cp_layer(stage5, mode)
+            feats, q = self.cp_layer(stage5, mode)
         else:
-            feats, p = stage5, None
+            feats, q = stage5, None
         logits = T.bilinear_upsample(self.seg_head(feats), OUTPUT_STRIDE)
         aux = (T.bilinear_upsample(self.aux_head(stage4, mode), OUTPUT_STRIDE)
                if mode == "train" else None)
-        return logits, aux, p
+        return logits, aux, q
 
 
 @dataclass
@@ -145,15 +146,15 @@ def cpnet_forward(model: CPNet, image: T.Tensor, gt_batch: list[LabelMap]):
                 f"labels {gt.height}x{gt.width} do not match image "
                 f"{image.shape[2]}x{image.shape[3]}"
             )
-    logits, aux, p = model.forward(image, mode="train")
-    a = affinity_targets(gt_batch, model.num_classes, model.feat_hw) if p is not None else None
-    return logits, aux, p, a
+    logits, aux, q = model.forward(image, mode="train")
+    a = affinity_targets(gt_batch, model.num_classes, model.feat_hw) if q is not None else None
+    return logits, aux, q, a
 
 
 def total_loss(
     logits: T.Tensor,
     aux_logits: T.Tensor,
-    p: T.Tensor | None,
+    q: T.Tensor | None,
     a: list[affinity.IdealAffinityMap] | None,
     gt_batch: list[LabelMap],
     cfg: TrainConfig,
@@ -165,10 +166,10 @@ def total_loss(
     aux = T.softmax_cross_entropy(aux_logits, labels)
     total = T.add(T.scale(seg, cfg.lambda_s), T.scale(aux, cfg.lambda_a))
     pu = pg = 0.0
-    if p is not None:
+    if q is not None:
         # called through the module, so wrappers installed on it see each term
-        unary = affinity.unary_affinity_loss(p, a)
-        glob, _ = affinity.global_affinity_loss(p, a)
+        unary = affinity.unary_affinity_loss(q, a)
+        glob, _ = affinity.global_affinity_loss(q, a)
         prior = T.add(T.scale(unary, cfg.lambda_u), T.scale(glob, cfg.lambda_g))
         total = T.add(total, T.scale(prior, cfg.lambda_p))
         pu, pg = unary.item(), glob.item()

@@ -127,10 +127,11 @@ def bulk_u64(seed, n: int) -> np.ndarray:
 
 
 def bulk_uniform(seed: int, shape) -> np.ndarray:
-    """Array of uniforms in [0, 1), float64."""
+    """Array of uniforms in [0, 1), float64, scaled in place on the words' buffer."""
     n = int(np.prod(shape)) if shape else 1
-    u = (bulk_u64(seed, n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    return u.reshape(shape)
+    u = bulk_u64(seed, n)
+    u >>= np.uint64(11)
+    return np.multiply(u, _INV_2_53, out=u.view(np.float64)).reshape(shape)
 
 
 def bulk_normal(seed, shape) -> np.ndarray:

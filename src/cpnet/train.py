@@ -294,7 +294,7 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
         lab = scene.labels.labels
     gt = LabelMap(lab)
 
-    logits, _aux, p = model.forward(T.Tensor(img[None]), mode="eval")
+    logits, _aux, q = model.forward(T.Tensor(img[None]), mode="eval")
     paths = []
 
     def emit(name, writer, payload):
@@ -302,8 +302,8 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
         writer(path, payload)
         paths.append(path)
 
-    if p is not None:
-        pm = p.data[0].astype(np.float64)
+    if q is not None:  # P = Q^T: row j of the image is query pixel j
+        pm = q.data[0].T.astype(np.float64)
         emit("prior.pgm", write_pgm, np.round(pm * 255).astype(np.uint8))
         emit("prior_inv.pgm", write_pgm, np.round((1 - pm) * 255).astype(np.uint8))
     small = downsample_labels(gt, model.feat_hw, model.feat_hw)

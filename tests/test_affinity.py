@@ -226,8 +226,8 @@ def test_unary_loss_rejects_fully_ignored_images():
 
 def test_global_loss_matches_oracle():
     maps = [ideal_affinity_map(random_labels(s, 3, 3), 3) for s in (51, 52)]
-    pb = random_prior(13, 9, batch=2)
-    got, _terms = global_affinity_loss(Tensor(pb), maps)
+    pb = random_prior(13, 9, batch=2)  # query-major P; the loss reads Q = P^T
+    got, _terms = global_affinity_loss(Tensor(pb.transpose(0, 2, 1)), maps)
     assert got.item() == pytest.approx(global_oracle(pb, maps), rel=1e-10)
 
 
@@ -253,8 +253,8 @@ def test_global_loss_skips_terms_with_zero_denominator():
     # term has denominator zero in every row and must drop out
     gt = LabelMap(np.zeros((2, 2), dtype=np.int32))
     m = ideal_affinity_map(gt, 2)
-    pb = random_prior(14, 4)
-    got, terms = global_affinity_loss(Tensor(pb), [m])
+    pb = random_prior(14, 4)  # query-major P; the loss reads Q = P^T
+    got, terms = global_affinity_loss(Tensor(pb.transpose(0, 2, 1)), [m])
     assert terms.specificity == 0.0
     assert got.item() == pytest.approx(global_oracle(pb, [m]), rel=1e-10)
 

@@ -270,6 +270,20 @@ def test_unparsable_manifest_value_exits_3(cli_run, capsys, tmp_path, command, e
     assert "i/o error:" in err and "manifest" in err
 
 
+def test_eval_scene_id_outside_the_dataset_exits_3(cli_run, capsys, tmp_path):
+    # the entry names a real scene, but by a path that leaves the directory
+    data = str(tmp_path / "data")
+    shutil.copytree(cli_run["data"], data)
+    manifest = os.path.join(data, "manifest.txt")
+    lines = open(manifest, encoding="utf-8").read().splitlines()
+    lines[1] = "../data/" + lines[1]
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    assert entry(["eval", "--ckpt", cli_run["ckpt"], "--data", data]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and "../data/00001" in err
+
+
 def _malformed_dataset(cli_run, tmp_path, labels):
     data = str(tmp_path / "data")
     shutil.copytree(cli_run["data"], data)

@@ -19,6 +19,11 @@ def rnd(seed, shape, lo=-1.0, hi=1.0):
     return (bulk_uniform(seed, shape) * (hi - lo) + lo).astype(np.float32)
 
 
+def query_major(q):
+    """The query-major P = Q^T of a key-major prior map, as an array."""
+    return q.data.transpose(0, 2, 1)
+
+
 def make_positive(module):
     """Force every conv weight in a module strictly positive so ReLU and
     BN (eval statistics) cannot erase any part of the receptive field."""
@@ -128,20 +133,21 @@ def test_prior_head_rejects_mismatched_grid():
 def test_prior_rows_index_query_pixels():
     # with the head's 1x1 conv hand-wired to route channel c of the
     # aggregated map to key c, entry P[b, q, c] must equal the sigmoid
-    # of that channel read at query position q
+    # of that channel read at query position q; the head returns the
+    # key-major Q = P^T
     layer = ContextPriorLayer("cp", 2, 4, 4, k=3, seed=10)
     layer.prior_conv.weight.value.data[...] = 0.0
     for key in range(4):
         layer.prior_conv.weight.value.data[key, key % 4, 0, 0] = 1.0
 
     xa = Tensor(rnd(11, (1, 4, 2, 2)))
-    p = layer.prior_head(xa, mode="eval")
+    p = query_major(layer.prior_head(xa, mode="eval"))
     flat = xa.data.reshape(1, 4, 4)
     scale = 1.0 / np.sqrt(1.0 + BN_EPS)  # eval BN with fresh running stats
     for q in range(4):
         for key in range(4):
             want = 1.0 / (1.0 + np.exp(-flat[0, key, q] * scale))
-            assert p.data[0, q, key] == pytest.approx(want, abs=1e-6)
+            assert p[0, q, key] == pytest.approx(want, abs=1e-6)
 
 
 def test_intra_and_inter_context_sum_to_full_context():
@@ -162,11 +168,12 @@ def test_intra_and_inter_context_sum_to_full_context():
 def test_context_blocks_are_bmm_with_the_prior():
     layer = ContextPriorLayer("cp", 2, 3, 4, k=3, seed=14)
     x = Tensor(rnd(15, (1, 2, 2, 2)))
-    out, p = layer(x, mode="eval")
+    out, q = layer(x, mode="eval")
+    p = query_major(q)
     xa = layer.aggregation(x, mode="eval").data
     xr = xa.reshape(1, 3, 4).transpose(0, 2, 1)  # (B, N, C1)
-    y = np.matmul(p.data, xr)
-    ybar = np.matmul(1.0 - p.data, xr)
+    y = np.matmul(p, xr)
+    ybar = np.matmul(1.0 - p, xr)
     got_y = out.data[:, 2:5].reshape(1, 3, 4).transpose(0, 2, 1)
     got_ybar = out.data[:, 5:8].reshape(1, 3, 4).transpose(0, 2, 1)
     assert np.allclose(got_y, y, atol=1e-6)

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cpnet import fileio
@@ -339,6 +339,25 @@ def test_checkpoint_requires_all_blobs(tmp_path):
         load_checkpoint(path)
 
 
+def leaves_its_directory(name):
+    """Whether a manifest name could name a file outside its directory."""
+    return (name in ("", ".", "..") or os.path.isabs(name)
+            or any(sep and sep in name for sep in ("/", os.sep, os.altsep)))
+
+
+@pytest.mark.parametrize("name", ["../tensors/layer.weight", "../../outside", "/tmp/x",
+                                  "tensors/layer.weight", ".", ".."])
+def test_checkpoint_tensor_name_outside_tensors_is_a_format_error(tmp_path, name):
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, *ckpt_fixture())
+    write_cpt(str(tmp_path / "outside.cpt"), np.zeros(3, dtype=np.float32))
+    manifest = os.path.join(path, "manifest.txt")
+    with open(manifest, "a", encoding="utf-8") as f:
+        f.write(f"tensor {name} float32 3\n")
+    with pytest.raises(FormatError, match="plain file name"):
+        load_checkpoint(path)
+
+
 def fuzzed(*plausible):
     """A plausible token, or any short text."""
     return st.one_of(st.sampled_from(plausible), st.text(max_size=12))
@@ -377,9 +396,11 @@ def fuzz_ckpt(tmp_path_factory):
 
 
 @given(manifest=st.one_of(CKPT_MANIFESTS, as_bytes(CKPT_MANIFESTS), st.binary(max_size=80)))
+@example(manifest="step = 1\nrng = 1 2 3 4\ntensor ../tensors/layer.weight float32 2x3")
 def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest):
     """Fuzzed step, rng and tensor lines, as text and as raw bytes: only
-    FormatError or OSError escapes, and a manifest that loads gives typed values."""
+    FormatError or OSError escapes, and a manifest that loads gives typed
+    values read from files inside its ``tensors/`` directory."""
     if isinstance(manifest, str):
         manifest = manifest.encode("utf-8")
     with open(os.path.join(fuzz_ckpt, "manifest.txt"), "wb") as f:
@@ -391,6 +412,7 @@ def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest
     assert isinstance(step, int)
     assert all(isinstance(word, int) for word in rng_state)
     assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
+    assert not any(leaves_its_directory(name) for name in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +465,18 @@ def test_dataset_unparsable_manifest_seed_is_a_format_error(tmp_path, entry):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("sid", ["../data/00000", "../00000", "/tmp/00000", ".."])
+def test_dataset_scene_id_outside_the_directory_is_a_format_error(tmp_path, sid):
+    cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
+    path = str(tmp_path / "data")
+    save_dataset(path, [gen_synthetic_scene(1, cfg)])
+    save_dataset(str(tmp_path), [gen_synthetic_scene(2, cfg)])  # a loadable ../00000
+    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as f:
+        f.write(f"{sid} seed=1\n")
+    with pytest.raises(FormatError, match="plain file name"):
+        load_dataset(path)
+
+
 DATASET_MANIFESTS = manifests(
     st.tuples(fuzzed("00000", "00001", "00002", "", "../data/00000"),
               fuzzed("seed=1", "seed=-3", "seed=", "seed", "seed=0x1", "1")).map(" ".join),
@@ -458,9 +492,11 @@ def fuzz_dataset(tmp_path_factory):
 
 
 @given(manifest=st.one_of(DATASET_MANIFESTS, as_bytes(DATASET_MANIFESTS), st.binary(max_size=80)))
+@example(manifest="00000 seed=1\n../data/00001 seed=2")
 def test_dataset_fuzzed_manifest_is_format_error_or_loads(fuzz_dataset, manifest):
     """Fuzzed scene entries, as text and as raw bytes: only FormatError or
-    OSError escapes, and each scene that loads is an image with its labels."""
+    OSError escapes, and a manifest that loads names only files of its own
+    directory, each scene an image with its labels."""
     if isinstance(manifest, str):
         manifest = manifest.encode("utf-8")
     with open(os.path.join(fuzz_dataset, "manifest.txt"), "wb") as f:
@@ -469,6 +505,8 @@ def test_dataset_fuzzed_manifest_is_format_error_or_loads(fuzz_dataset, manifest
         scenes = load_dataset(fuzz_dataset)
     except (FormatError, OSError):
         return
+    ids = [ln.split()[0] for ln in manifest.decode("utf-8").split("\n") if ln.strip()]
+    assert not any(leaves_its_directory(sid) for sid in ids)
     for scene in scenes:
         assert scene.image.shape == (3, 8, 8) and scene.labels.labels.shape == (8, 8)
         assert isinstance(scene.seed, int)

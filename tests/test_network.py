@@ -18,6 +18,7 @@ from cpnet.network import (
 from cpnet.optim import SgdMomentum
 from cpnet.rng import Rng, bulk_uniform
 from cpnet.tensor import Graph, ShapeError, Tensor, conv2d
+from cpnet.train import build_model
 
 
 # the five loss weights; lambda_p, lambda_u and lambda_g differ from the stock 1.0
@@ -214,6 +215,20 @@ def test_total_loss_without_prior_branch():
     assert terms.prior_unary == 0.0 and terms.prior_global == 0.0
     want = terms.seg.item() + 0.4 * terms.aux.item()
     assert terms.total.item() == pytest.approx(want, rel=1e-6)
+
+
+def test_stock_step_records_52_nodes_and_no_transpose():
+    # the prior map stays key-major from the head through both loss terms,
+    # so a training step records no transpose
+    cfg = TrainConfig()
+    model = build_model(cfg)
+    img = rnd_image(18, cfg.batch_size, cfg.crop)
+    gts = rnd_labels(19, cfg.batch_size, cfg.crop, cfg.num_classes)
+    with Graph() as g:
+        total_loss(*cpnet_forward(model, img, gts), gts, cfg)
+    ops = [bwd.__qualname__.split(".")[0] for _inputs, _out, bwd in g.nodes]
+    assert len(ops) == 52
+    assert "transpose" not in ops
 
 
 def test_loss_sees_every_parameter():

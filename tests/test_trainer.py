@@ -12,7 +12,7 @@ from cpnet.data import ConfusionMatrix, SyntheticScene, gen_synthetic_scene, res
 from cpnet.fileio import load_checkpoint
 from cpnet.labelmap import LabelMap
 from cpnet.network import CPNet
-from cpnet.tensor import NumericError
+from cpnet.tensor import BN_EPS, NumericError, Tensor
 from cpnet.train import (
     affinity_series,
     build_model,
@@ -316,6 +316,34 @@ def test_dump_prior_untrained_head_is_uniform_gray(tmp_path):
             blob = f.read()
         assert blob[:len(header)] == header
         assert set(blob[len(header):]) == {128}, name
+
+
+def test_dump_prior_rows_are_query_pixels(tmp_path):
+    # the head hand-wired as in test_prior_rows_index_query_pixels: key c
+    # reads aggregated channel c % c1, so P[q, c] is a sigmoid of that
+    # channel at query q, and row q of prior.pgm must be query q
+    cfg = tiny_config(crop=32, scene_size=32)
+    model = build_model(cfg)
+    cp = model.cp_layer
+    scene = val_scenes(cfg)[0]
+    _stage4, stage5 = model.backbone(Tensor(scene.image[None]), mode="eval")
+    xa = cp.aggregation(stage5, mode="eval").data.reshape(cp.c1, cp.n).astype(np.float64)
+    gain = np.float32(4.0 / np.abs(xa).max())  # spread P over (0, 1)
+    cp.prior_conv.weight.value.data[...] = 0.0
+    for key in range(cp.n):
+        cp.prior_conv.weight.value.data[key, key % cp.c1, 0, 0] = gain
+    dump_prior(model, scene, str(tmp_path))
+
+    scale = gain / np.sqrt(1.0 + BN_EPS)  # eval BN with fresh running stats
+    p = 1.0 / (1.0 + np.exp(-xa[np.arange(cp.n) % cp.c1].T * scale))  # (query, key)
+    want = np.round(p * 255)
+    with open(os.path.join(tmp_path, "prior.pgm"), "rb") as f:
+        blob = f.read()
+    header = f"P5\n{cp.n} {cp.n}\n255\n".encode("ascii")
+    assert blob[:len(header)] == header
+    got = np.frombuffer(blob[len(header):], dtype=np.uint8).reshape(cp.n, cp.n)
+    assert np.abs(got - want).max() <= 1  # float32 rounding may cross a .5
+    assert np.abs(got - want.T).max() > 1  # P is not symmetric: the test sees a transpose
 
 
 def test_dump_prior_constant_scene_affinity_all_white(tmp_path):
