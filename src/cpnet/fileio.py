@@ -146,6 +146,12 @@ def _check_plain_name(name: str, where: str) -> None:
         raise FormatError(f"{where}: name {name!r} is not a plain file name")
 
 
+def _refuse_repeat(repeated: bool, where: str, entry: str) -> None:
+    """A manifest names each step, rng state, tensor and scene once."""
+    if repeated:
+        raise FormatError(f"{where}: {entry!r} repeats an earlier entry")
+
+
 def _read_text(path: str) -> str:
     """A UTF-8 text file's contents; bytes that do not decode are a FormatError."""
     try:
@@ -164,15 +170,18 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
     for ln in lines:
         try:
             if ln.startswith("step = "):
+                _refuse_repeat(step is not None, mpath, ln)
                 step = int(ln.split("=", 1)[1])
                 continue
             if ln.startswith("rng = "):
+                _refuse_repeat(rng_state is not None, mpath, ln)
                 rng_state = tuple(int(tok, 16) for tok in ln.split("=", 1)[1].split())
                 continue
             if not ln.startswith("tensor "):
                 raise FormatError(f"{mpath}: unrecognized line {ln!r}")
             _, name, dtype_name, shape = ln.split(" ")
             _check_plain_name(name, mpath)
+            _refuse_repeat(name in tensors, mpath, ln)
             if dtype_name not in _CPT_DTYPE_NAMES:
                 raise FormatError(f"{mpath}: unknown dtype {dtype_name!r} in {ln!r}")
             want = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
@@ -209,16 +218,23 @@ def save_dataset(path: str, scenes) -> None:
 
 
 def load_dataset(path: str):
+    """Scenes in manifest order.  Each manifest line is ``<id>`` or
+    ``<id> seed=<int>`` (seed 0 when absent), and names a scene once."""
     manifest = _read_text(os.path.join(path, "manifest.txt"))
     entries = [ln.split() for ln in manifest.split("\n") if ln.strip()]
-    scenes = []
-    for parts in entries:
-        sid = parts[0]
+    scenes: dict[str, SyntheticScene] = {}
+    for sid, *fields in entries:
         _check_plain_name(sid, path)
+        _refuse_repeat(sid in scenes, path, sid)
         try:
-            seed = int(parts[1].split("=", 1)[1]) if len(parts) > 1 else 0
-        except (ValueError, IndexError) as e:
-            raise FormatError(f"{path}: cannot parse manifest entry {' '.join(parts)!r}") from e
+            (field,) = fields or ["seed=0"]
+            key, value = field.split("=", 1)
+            if key != "seed":
+                raise ValueError(f"unknown field {key!r}")
+            seed = int(value)
+        except ValueError as e:
+            raise FormatError(
+                f"{path}: cannot parse manifest entry {' '.join([sid, *fields])!r}") from e
         img = read_cpt(os.path.join(path, sid + ".img.cpt"))
         lab = read_cpt(os.path.join(path, sid + ".lbl.cpt"))
         if img.ndim != 3 or img.shape[0] != 3 or lab.shape != img.shape[1:]:
@@ -226,5 +242,5 @@ def load_dataset(path: str):
                 f"{path}: scene {sid} has image {img.shape} and labels {lab.shape}; "
                 "want (3, H, W) and (H, W)"
             )
-        scenes.append(SyntheticScene(img, LabelMap(lab), seed))
-    return scenes
+        scenes[sid] = SyntheticScene(img, LabelMap(lab), seed)
+    return list(scenes.values())

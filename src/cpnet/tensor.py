@@ -10,11 +10,13 @@ topological order, so ``Graph.backward`` is a single reverse sweep.
 What the tape holds: each node is the serial keys and shapes of its
 inputs, its output's key and a backward closure, and each closure keeps
 only the arrays its rule reads (``relu`` and ``sigmoid`` their output, a
-conv its columns or input, batch norm its normalized input).  The tape
+conv its input and weight, batch norm its normalized input).  The tape
 holds no :class:`Tensor`, so a conv output that only feeds batch norm, or
 a batch-norm output that only feeds ``relu``, is freed as soon as the
-caller drops it.  Gradients are routed by key: every tensor draws a
-process-unique key at creation, so a freed tensor's key is never reused.
+caller drops it.  Closures hold the arrays themselves, not copies, so a
+recorded input must not be mutated before ``backward``.  Gradients are
+routed by key: every tensor draws a process-unique key at creation, so a
+freed tensor's key is never reused.
 
 Gradient accumulation contract: ``Graph.backward`` adds into each reachable
 :class:`Parameter`'s ``.grad`` exactly once per call; calling it twice
@@ -501,7 +503,8 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
       row (the aggregation's k x 1 and 1 x k convs).  Each channel's taps
       form one banded matrix, so no window is copied either.
     - im2col: everything else, a 2-D depthwise kernel included.  The
-      windows are copied into columns that the tape keeps for the backward.
+      windows are copied into columns for the GEMM.  The tape keeps the
+      input, not the columns, and the backward copies the windows again.
     """
     x, w = _unwrap(x), _unwrap(w)
     b = _unwrap(bias) if bias is not None else None
@@ -657,8 +660,11 @@ def _conv_banded(xd, wd, along_h, kernel_axis, other_axis):
 
 def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
     """Any kernel: zero-pad as far as the kept taps read (input rows and
-    columns ``span`` = (y0, y1, x0, x1)), copy the windows into columns kept
-    for the backward, and scatter dx back with np.add.at."""
+    columns ``span`` = (y0, y1, x0, x1)) and copy the windows into columns
+    for one GEMM per group.  The backward closure keeps ``xd``, not the
+    columns (a 2.25x to 9x copy of it): it copies the same windows again for
+    the weight gradient, and scatters dx back with np.add.at.  So ``xd`` must
+    not be mutated between the forward and the backward."""
     bsz, cin, h, wid = xd.shape
     cout, cg, kh, kw = wd.shape
     og = cout // groups
@@ -666,29 +672,31 @@ def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
     pt, pl = max(-y0, 0), max(-x0, 0)
     hp, wp = pt + max(y1, h), pl + max(x1, wid)
     r0, c0 = y0 + pt, x0 + pl
-    if (hp, wp) != (h, wid):
-        xp = np.zeros((bsz, cin, hp, wp), dtype=xd.dtype)
-        xp[:, :, pt:pt + h, pl:pl + wid] = xd
-    else:
-        xp = xd
     k = cg * kh * kw
-    # cols: (groups, cg*kh*kw, B, oh*ow) with the output pixels innermost.
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp[:, :, r0:, c0:], (bsz, cin, oh, ow, kh, kw),
-        (s0, s1, sh * s2, sw * s3, dh * s2, dw * s3), writeable=False)
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
-        groups, k, bsz, oh * ow
-    )
+
+    def columns():
+        """(groups, cg*kh*kw, B, oh*ow), the output pixels innermost."""
+        if (hp, wp) != (h, wid):
+            xp = np.zeros((bsz, cin, hp, wp), dtype=xd.dtype)
+            xp[:, :, pt:pt + h, pl:pl + wid] = xd
+        else:
+            xp = xd
+        s0, s1, s2, s3 = xp.strides
+        win = np.lib.stride_tricks.as_strided(
+            xp[:, :, r0:, c0:], (bsz, cin, oh, ow, kh, kw),
+            (s0, s1, sh * s2, sw * s3, dh * s2, dw * s3), writeable=False)
+        return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+            groups, k, bsz, oh * ow)
+
     w3 = wd.reshape(groups, og, k)
-    out = np.matmul(w3, cols.transpose(2, 0, 1, 3)).reshape(bsz, cout, oh, ow)
+    out = np.matmul(w3, columns().transpose(2, 0, 1, 3)).reshape(bsz, cout, oh, ow)
 
     def grads(g):
         gm = g.reshape(bsz, groups, og, oh * ow)
         # One GEMM per group, reducing over all B*oh*ow output pixels.
         gw = np.matmul(
             gm.transpose(1, 2, 0, 3).reshape(groups, og, -1),
-            cols.reshape(groups, k, -1).transpose(0, 2, 1),
+            columns().reshape(groups, k, -1).transpose(0, 2, 1),
         ).reshape(wd.shape)
         dcols = np.matmul(w3.transpose(0, 2, 1), gm).reshape(bsz, -1)
         dxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)

@@ -284,6 +284,19 @@ def test_eval_scene_id_outside_the_dataset_exits_3(cli_run, capsys, tmp_path):
     assert "i/o error:" in err and "../data/00001" in err
 
 
+def test_eval_repeated_scene_id_exits_3(cli_run, capsys, tmp_path):
+    # scored twice, the scene would weigh double in pixAcc and mIoU
+    data = str(tmp_path / "data")
+    shutil.copytree(cli_run["data"], data)
+    manifest = os.path.join(data, "manifest.txt")
+    lines = open(manifest, encoding="utf-8").read().splitlines()
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines + [lines[1]]) + "\n")
+    assert entry(["eval", "--ckpt", cli_run["ckpt"], "--data", data]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and "'00001' repeats an earlier entry" in err
+
+
 def _malformed_dataset(cli_run, tmp_path, labels):
     data = str(tmp_path / "data")
     shutil.copytree(cli_run["data"], data)
@@ -349,6 +362,16 @@ def test_dump_prior_writes_images(cli_run, capsys, tmp_path):
     ]
     for path in printed:
         assert os.path.getsize(path) > 0
+
+
+@pytest.mark.parametrize("scene", ["-1", str(1 << 64)])
+def test_dump_prior_scene_outside_the_stream_exits_1(cli_run, capsys, tmp_path, scene):
+    # the stream index is 64-bit: -1 would alias 2**64 - 1, and 2**64 scene 0
+    out = tmp_path / "out"
+    assert entry(["dump-prior", "--ckpt", cli_run["ckpt"], "--scene", scene,
+                  "--out", str(out)]) == 1
+    assert "--scene" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thread_cap_seeds_blas_knobs(monkeypatch):

@@ -358,6 +358,18 @@ def test_checkpoint_tensor_name_outside_tensors_is_a_format_error(tmp_path, name
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("extra", ["tensor layer.weight float32 2x3", "step = 124",
+                                   "rng = 5 6 7 8"], ids=["tensor", "step", "rng"])
+def test_checkpoint_repeated_manifest_entry_is_a_format_error(tmp_path, extra):
+    # a second line must not silently replace the first
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, *ckpt_fixture())
+    with open(os.path.join(path, "manifest.txt"), "a", encoding="utf-8") as f:
+        f.write(extra + "\n")
+    with pytest.raises(FormatError, match="repeats an earlier entry"):
+        load_checkpoint(path)
+
+
 def fuzzed(*plausible):
     """A plausible token, or any short text."""
     return st.one_of(st.sampled_from(plausible), st.text(max_size=12))
@@ -397,10 +409,14 @@ def fuzz_ckpt(tmp_path_factory):
 
 @given(manifest=st.one_of(CKPT_MANIFESTS, as_bytes(CKPT_MANIFESTS), st.binary(max_size=80)))
 @example(manifest="step = 1\nrng = 1 2 3 4\ntensor ../tensors/layer.weight float32 2x3")
+@example(manifest="step = 1\nrng = 1 2 3 4\ntensor meta.count int32 scalar\n"
+                  "tensor meta.count int32 scalar")
+@example(manifest="step = 1\nrng = 1 2 3 4\nstep = 2")
 def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest):
     """Fuzzed step, rng and tensor lines, as text and as raw bytes: only
-    FormatError or OSError escapes, and a manifest that loads gives typed
-    values read from files inside its ``tensors/`` directory."""
+    FormatError or OSError escapes, and a manifest that loads names each
+    entry once and gives typed values read from files inside its
+    ``tensors/`` directory."""
     if isinstance(manifest, str):
         manifest = manifest.encode("utf-8")
     with open(os.path.join(fuzz_ckpt, "manifest.txt"), "wb") as f:
@@ -413,6 +429,10 @@ def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest
     assert all(isinstance(word, int) for word in rng_state)
     assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
     assert not any(leaves_its_directory(name) for name in tensors)
+    keys = [ln.strip().split(" ")[0] for ln in manifest.decode("utf-8").split("\n")
+            if ln.strip()]
+    assert keys.count("step") == keys.count("rng") == 1
+    assert keys.count("tensor") == len(tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +474,8 @@ def test_dataset_rejects_image_label_shape_mismatch(tmp_path):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("entry", ["00000 seed=abc", "00000 seed"])
+@pytest.mark.parametrize("entry", ["00000 seed=abc", "00000 seed", "00000 key=1",
+                                   "00000 seed=1 seed=2", "00000 seed=1 extra"])
 def test_dataset_unparsable_manifest_seed_is_a_format_error(tmp_path, entry):
     cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
     path = str(tmp_path / "data")
@@ -477,9 +498,22 @@ def test_dataset_scene_id_outside_the_directory_is_a_format_error(tmp_path, sid)
         load_dataset(path)
 
 
+@pytest.mark.parametrize("manifest", ["00000 seed=1\n00000 seed=1\n",
+                                      "00000 seed=1\n00001 seed=2\n00000 seed=7\n"])
+def test_dataset_repeated_scene_id_is_a_format_error(tmp_path, manifest):
+    cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
+    path = str(tmp_path / "data")
+    save_dataset(path, [gen_synthetic_scene(seed, cfg) for seed in (1, 2)])
+    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as f:
+        f.write(manifest)
+    with pytest.raises(FormatError, match="'00000' repeats an earlier entry"):
+        load_dataset(path)
+
+
 DATASET_MANIFESTS = manifests(
     st.tuples(fuzzed("00000", "00001", "00002", "", "../data/00000"),
-              fuzzed("seed=1", "seed=-3", "seed=", "seed", "seed=0x1", "1")).map(" ".join),
+              fuzzed("seed=1", "seed=-3", "seed=", "seed", "seed=0x1", "1", "key=1",
+                     "seed=1 seed=2", "seed=1 x")).map(" ".join),
 )
 
 
@@ -493,10 +527,13 @@ def fuzz_dataset(tmp_path_factory):
 
 @given(manifest=st.one_of(DATASET_MANIFESTS, as_bytes(DATASET_MANIFESTS), st.binary(max_size=80)))
 @example(manifest="00000 seed=1\n../data/00001 seed=2")
+@example(manifest="00000 seed=1\n00000 seed=1")
+@example(manifest="00000 key=1\n00001 seed=2 seed=3")
 def test_dataset_fuzzed_manifest_is_format_error_or_loads(fuzz_dataset, manifest):
     """Fuzzed scene entries, as text and as raw bytes: only FormatError or
-    OSError escapes, and a manifest that loads names only files of its own
-    directory, each scene an image with its labels."""
+    OSError escapes, and a manifest that loads names each scene once, with
+    at most a ``seed=`` field, and only files of its own directory, each
+    scene an image with its labels."""
     if isinstance(manifest, str):
         manifest = manifest.encode("utf-8")
     with open(os.path.join(fuzz_dataset, "manifest.txt"), "wb") as f:
@@ -505,8 +542,11 @@ def test_dataset_fuzzed_manifest_is_format_error_or_loads(fuzz_dataset, manifest
         scenes = load_dataset(fuzz_dataset)
     except (FormatError, OSError):
         return
-    ids = [ln.split()[0] for ln in manifest.decode("utf-8").split("\n") if ln.strip()]
+    entries = [ln.split() for ln in manifest.decode("utf-8").split("\n") if ln.strip()]
+    ids = [parts[0] for parts in entries]
     assert not any(leaves_its_directory(sid) for sid in ids)
-    for scene in scenes:
+    assert len(set(ids)) == len(ids) == len(scenes)
+    for (_sid, *fields), scene in zip(entries, scenes):
+        assert fields == [] or (len(fields) == 1 and fields[0].startswith("seed="))
         assert scene.image.shape == (3, 8, 8) and scene.labels.labels.shape == (8, 8)
-        assert isinstance(scene.seed, int)
+        assert scene.seed == (int(fields[0][5:]) if fields else 0)
