@@ -68,12 +68,12 @@ def _override(cfg, key: str, value: str, flag: str):
 def _cmd_gen_data(args) -> int:
     from .config import load_config
     from .fileio import save_dataset
-    from .train import val_scene
+    from .train import val_scenes
 
     cfg = load_config(args.config)
     if args.count is not None:
         cfg = _override(cfg, "val_scenes", str(args.count), "--count")
-    save_dataset(args.out, [val_scene(cfg, i) for i in range(cfg.val_scenes)])
+    save_dataset(args.out, val_scenes(cfg))
     print(f"wrote {cfg.val_scenes} scenes to {args.out}")
     return 0
 

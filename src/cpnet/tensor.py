@@ -500,11 +500,12 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
       itself (the model's pointwise convs, and stage 5 on a 4x4 map).  The
       GEMMs read x directly and dx is a GEMM output; nothing is copied.
     - banded: a depthwise kernel whose kept taps lie on one column or one
-      row (the aggregation's k x 1 and 1 x k convs).  Each channel's taps
-      form one banded matrix, so no window is copied either.
-    - im2col: everything else, a 2-D depthwise kernel included.  The
-      windows are copied into columns for the GEMM.  The tape keeps the
-      input, not the columns, and the backward copies the windows again.
+      row and that reads the other axis whole at unit stride (the
+      aggregation's k x 1 and 1 x k convs): one banded matrix per channel,
+      so no window is copied either.
+    - im2col: everything else, a 2-D depthwise kernel or a strided or padded
+      other axis included.  The windows are copied into columns for the
+      GEMM; the tape keeps the input, and the backward copies them again.
     """
     x, w = _unwrap(x), _unwrap(w)
     b = _unwrap(bias) if bias is not None else None
@@ -540,13 +541,13 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     lw, hw, x0, x1 = _tap_span(wid, kw, sw, pw, dw, ow)
     kh, kw = hh - lh, hw - lw
     wd = w.data if (kh, kw) == w.shape[2:] else np.ascontiguousarray(w.data[:, :, lh:hh, lw:hw])
+    along_h = kw == 1 and (sw, x0, ow) == (1, 0, wid)  # other axis read whole
+    along_w = kh == 1 and (sh, y0, oh) == (1, 0, h)
     if (kh, kw, sh, sw, y0, x0, oh, ow) == (1, 1, 1, 1, 0, 0, h, wid):
         out, grads = _conv_in_place(x.data, wd, groups)
-    elif cin_g == cout // groups == 1 and 1 in (kh, kw):
-        along_h = kw == 1
+    elif cin_g == cout // groups == 1 and (along_h or along_w):
         kernel_axis = (h, oh, sh, dh, y0) if along_h else (wid, ow, sw, dw, x0)
-        other_axis = (wid, ow, sw, x0) if along_h else (h, oh, sh, y0)
-        out, grads = _conv_banded(x.data, wd, along_h, kernel_axis, other_axis)
+        out, grads = _conv_banded(x.data, wd, along_h, kernel_axis)
     else:
         out, grads = _conv_im2col(x.data, wd, groups, (oh, ow), (sh, sw), (dh, dw),
                                   (y0, y1, x0, x1))
@@ -608,13 +609,13 @@ def _band_index(n_in: int, n_out: int, k: int, stride: int, dilation: int, start
     return pos, live
 
 
-def _conv_banded(xd, wd, along_h, kernel_axis, other_axis):
+def _conv_banded(xd, wd, along_h, kernel_axis):
     """A depthwise kernel whose kept taps lie on one column (``along_h``) or
-    one row.  Each channel's taps become one banded (n_out, n_in) matrix
-    along that axis, so the forward, dx and the band's gradient are one
-    np.matmul each, and the taps' gradients are read off the band's
-    diagonals.  ``kernel_axis`` is (n_in, n_out, stride, dilation, start) and
-    ``other_axis`` (n_in, n_out, stride, start)."""
+    one row, reading the other axis whole at unit stride.  Each channel's
+    taps become one banded (n_out, n_in) matrix along the kernel axis, so the
+    forward, dx and the band's gradient are one np.matmul each on x itself,
+    and the taps' gradients are read off the band's diagonals.
+    ``kernel_axis`` is (n_in, n_out, stride, dilation, start)."""
     c = xd.shape[1]
     n_in, n_out, step, dil, start = kernel_axis
     k = wd.size // c
@@ -622,46 +623,28 @@ def _conv_banded(xd, wd, along_h, kernel_axis, other_axis):
     band = np.zeros((c, n_out * n_in), dtype=wd.dtype)
     band[:, pos[live]] = wd.reshape(c, k)[:, live.nonzero()[0]]
     band = band.reshape(c, n_out, n_in)
-
-    # output j of the other axis reads input start + stride*j, or padding
-    axis = 3 if along_h else 2
-    m_in, m_out, m_step, m_start = other_axis
-    if (m_out, m_step, m_start) == (m_in, 1, 0):
-        xs = xd
-    else:
-        ja = max(0, -(m_start // m_step))  # outputs [ja, jb) read real inputs
-        jb = min(m_out, -((m_start - m_in) // m_step))
-        dst = (slice(None),) * axis + (slice(ja, jb),)
-        src = (slice(None),) * axis + (
-            slice(m_start + m_step * ja, m_start + m_step * (jb - 1) + 1, m_step),)
-        xs = np.zeros(xd.shape[:axis] + (m_out,) + xd.shape[axis + 1:], dtype=xd.dtype)
-        xs[dst] = xd[src]
-    out = np.matmul(band, xs) if along_h else np.matmul(xs, band.transpose(0, 2, 1))
+    out = np.matmul(band, xd) if along_h else np.matmul(xd, band.transpose(0, 2, 1))
 
     def grads(g):
         if along_h:
-            dxs = np.matmul(band.transpose(0, 2, 1), g)
-            gv, xv = g, xs
+            dx = np.matmul(band.transpose(0, 2, 1), g)
+            gv, xv = g, xd
         else:
-            dxs = np.matmul(g, band)
-            gv, xv = g.transpose(0, 1, 3, 2), xs.transpose(0, 1, 3, 2)
+            dx = np.matmul(g, band)
+            gv, xv = g.transpose(0, 1, 3, 2), xd.transpose(0, 1, 3, 2)
         # (c, n_out, B*m) x (c, B*m, n_in): the GEMM sums over the batch
         dband = np.matmul(gv.transpose(1, 2, 0, 3).reshape(c, n_out, -1),
                           xv.transpose(1, 0, 3, 2).reshape(c, -1, n_in))
         gw = np.where(live, dband.reshape(c, -1)[:, pos], 0).sum(axis=2).reshape(wd.shape)
-        if xs is xd:
-            return dxs, gw
-        dx = np.zeros(xd.shape, dtype=dxs.dtype)
-        dx[src] = dxs[dst]
         return dx, gw
 
     return out, grads
 
 
 def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
-    """Any kernel: zero-pad as far as the kept taps read (input rows and
-    columns ``span`` = (y0, y1, x0, x1)) and copy the windows into columns
-    for one GEMM per group.  The backward closure keeps ``xd``, not the
+    """Any geometry: zero-pad a copy of x as far as the kept taps read (input
+    rows and columns ``span`` = (y0, y1, x0, x1)) and copy the windows into
+    columns for one GEMM per group.  The backward closure keeps ``xd``, not the
     columns (a 2.25x to 9x copy of it): it copies the same windows again for
     the weight gradient, and scatters dx back with np.add.at.  So ``xd`` must
     not be mutated between the forward and the backward."""
@@ -676,11 +659,8 @@ def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
 
     def columns():
         """(groups, cg*kh*kw, B, oh*ow), the output pixels innermost."""
-        if (hp, wp) != (h, wid):
-            xp = np.zeros((bsz, cin, hp, wp), dtype=xd.dtype)
-            xp[:, :, pt:pt + h, pl:pl + wid] = xd
-        else:
-            xp = xd
+        xp = np.zeros((bsz, cin, hp, wp), dtype=xd.dtype)
+        xp[:, :, pt:pt + h, pl:pl + wid] = xd
         s0, s1, s2, s3 = xp.strides
         win = np.lib.stride_tricks.as_strided(
             xp[:, :, r0:, c0:], (bsz, cin, oh, ow, kh, kw),
@@ -833,9 +813,6 @@ def bilinear_upsample(x, factor: int) -> Tensor:
     factor = int(factor)
     if x.data.ndim != 4:
         raise ShapeError(f"bilinear_upsample expects [B,C,H,W], got {x.shape}")
-    if factor == 1:
-        out = Tensor(x.data.copy())
-        return record((x,), out, lambda g: (g,))
     h, w = x.shape[2], x.shape[3]
     wr = bilinear_matrix(h, h * factor, x.data.dtype)
     wc = bilinear_matrix(w, w * factor, x.data.dtype)

@@ -205,9 +205,6 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         with open(path, "w", encoding="utf-8") as f:
             f.write(header + "\n")
 
-    if cfg.total_iterations == 0:
-        save_model(os.path.join(out_dir, "ckpt_final"), model, cfg, 0, aug_rng.state())
-
     final_metrics = None
     for it in range(cfg.total_iterations):
         step = it + 1
@@ -251,9 +248,9 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and not is_last:
             save_model(os.path.join(out_dir, f"ckpt_{step:06d}"), model, cfg, step,
                        aug_rng.state())
-        if is_last:
-            save_model(os.path.join(out_dir, "ckpt_final"), model, cfg, step,
-                       aug_rng.state())
+
+    save_model(os.path.join(out_dir, "ckpt_final"), model, cfg, cfg.total_iterations,
+               aug_rng.state())
 
     return {
         "loss_csv": csv_path,

@@ -292,10 +292,17 @@ CONV_CASES = [
     dict(x=(3, 4, 5, 7), w=(4, 1, 1, 5), stride=1, padding=(0, 2), dilation=1, groups=4, bias=False),
     dict(x=(2, 5, 5, 6), w=(3, 5, 1, 1), stride=2, padding=0, dilation=1, groups=1, bias=True),
     dict(x=(3, 4, 7, 6), w=(2, 4, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=True),
-    # depthwise kernels on one column or row run as banded products: strided,
-    # and dilated with outputs that read padding on the other axis
+    # depthwise kernels on one column or row that stride or pad the other
+    # axis take the grouped im2col path: strided, and dilated with outputs
+    # that read padding on the other axis
     dict(x=(2, 3, 9, 7), w=(3, 1, 5, 1), stride=2, padding=(2, 0), dilation=1, groups=3, bias=True),
     dict(x=(2, 4, 6, 9), w=(4, 1, 1, 3), stride=1, padding=(1, 2), dilation=2, groups=4, bias=False),
+    # ... and run as banded products when they read the other axis whole:
+    # strided and dilated along the kernel axis
+    dict(x=(2, 3, 9, 7), w=(3, 1, 5, 1), stride=(2, 1), padding=(2, 0), dilation=1, groups=3,
+         bias=True),
+    dict(x=(2, 4, 6, 9), w=(4, 1, 1, 3), stride=(1, 2), padding=(0, 2), dilation=2, groups=4,
+         bias=False),
     # a 2-D depthwise kernel takes the grouped im2col path
     dict(x=(2, 4, 6, 6), w=(4, 1, 3, 3), stride=1, padding=1, dilation=1, groups=4, bias=True),
     # 1x1 kernels: grouped in place, and strided with an offset window
@@ -375,35 +382,38 @@ def test_conv2d_in_place_and_banded_paths_are_batch_invariant(case):
         assert np.array_equal(one[0], out[i])
 
 
-def _bytes_kept_by_forward(x, w, **kw) -> int:
-    """Bytes a recorded conv2d forward leaves allocated while its tape is
-    alive, besides its output."""
+def _forward_peak_bytes(x, w, **kw) -> int:
+    """The most bytes a recorded conv2d forward held at once besides its
+    output, which bounds what it leaves for the backward as well."""
     xt, wt = Tensor(x), Tensor(w)
     tracemalloc.start()
     try:
         with Graph() as tape:
             out = conv2d(xt, wt, **kw)
-        kept = tracemalloc.get_traced_memory()[0]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(tape.nodes) == 1
-    return kept - out.data.nbytes
+    return peak - out.data.nbytes
 
 
-def test_depthwise_conv_keeps_no_window_copy():
-    # the aggregation's depthwise 1x11 conv at the 16x16 grid, train mode:
-    # an im2col window buffer (C, k, B, L) would take 5.8 MB
-    b, c, hw, k = 4, 128, 16, 11
+@pytest.mark.parametrize("hw", [4, 16])
+@pytest.mark.parametrize("kernel", [(11, 1), (1, 11)], ids=["kx1", "1xk"])
+def test_depthwise_conv_keeps_no_window_copy(kernel, hw):
+    """The aggregation's depthwise convs on the stock 4x4 map and the 16x16
+    grid, train mode, neither build nor keep an im2col window buffer
+    (C, k, B, L), which at 16x16 would take 5.8 MB."""
+    b, c, k = 4, 128, 11
     x = (bulk_uniform(61, (b, c, hw, hw)) - 0.5).astype(np.float32)
-    w = (bulk_uniform(62, (c, 1, 1, k)) - 0.5).astype(np.float32)
-    kept = _bytes_kept_by_forward(x, w, padding=(0, k // 2), groups=c)
-    assert kept < c * k * b * hw * hw * x.itemsize // 8
+    w = (bulk_uniform(62, (c, 1) + kernel) - 0.5).astype(np.float32)
+    peak = _forward_peak_bytes(x, w, padding=(kernel[0] // 2, kernel[1] // 2), groups=c)
+    assert peak < c * k * b * hw * hw * x.itemsize // 8
 
 
 def test_pointwise_conv_keeps_no_copy_of_its_input():
     x = (bulk_uniform(63, (4, 128, 16, 16)) - 0.5).astype(np.float32)
     w = (bulk_uniform(64, (64, 128, 1, 1)) - 0.5).astype(np.float32)
-    assert _bytes_kept_by_forward(x, w) < x.nbytes // 8
+    assert _forward_peak_bytes(x, w) < x.nbytes // 8
 
 
 @pytest.mark.parametrize("case", DEAD_TAP_CASES, ids=lambda c: f"w{c['w']}s{c['stride']}")
