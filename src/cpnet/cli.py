@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, grad-check, dump-prior.  Exit codes:
 0 success, 1 usage or configuration problems, 2 numeric failures
-(non-finite loss, failed gradient check), 3 I/O failures.
+(non-finite loss, failed gradient check), 3 I/O failures and running out
+of memory.
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def entry(argv=None) -> int:
         return 2
     except (OSError, FormatError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # numpy's carries the size it could not allocate
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

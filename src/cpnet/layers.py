@@ -31,7 +31,7 @@ def uniform_init(seed: int, name: str, shape, fan_in: int, dtype: str) -> T.Tens
     u *= 2.0
     u -= 1.0
     u *= bound
-    return T.Tensor(u.astype(T._DTYPES[dtype]))
+    return T.Tensor(u.astype(dtype))
 
 
 class Module:

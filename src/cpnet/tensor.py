@@ -6,6 +6,8 @@ convolution (no kernel flip).  Operations compute with numpy arrays and,
 when a :class:`Graph` is active, append a node carrying a backward rule to
 its tape.  The tape is recorded in execution order, which is already a
 topological order, so ``Graph.backward`` is a single reverse sweep.
+Tensors hold float32 or float64 only (labels stay integer numpy arrays),
+and the entered graphs sit on one module-level stack whose top records.
 
 What the tape holds: each node is the serial keys and shapes of its
 inputs, its output's key and a backward closure, and each closure keeps
@@ -30,20 +32,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 
 import numpy as np
 
 from .labelmap import IGNORE_INDEX, check_classes
-
-_DTYPES = {
-    "float32": np.dtype(np.float32),
-    "float64": np.dtype(np.float64),
-    "int32": np.dtype(np.int32),
-    "uint8": np.dtype(np.uint8),
-}
-_NP_TO_NAME = {v: k for k, v in _DTYPES.items()}
-_FLOAT_NAMES = ("float32", "float64")
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -59,13 +51,10 @@ class NumericError(ArithmeticError):
 
 def _canon(data) -> np.ndarray:
     arr = np.asarray(data)
-    if arr.dtype not in _NP_TO_NAME:
-        if np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
-            arr = arr.astype(np.int32)
-        else:
-            raise ShapeError(f"unsupported dtype {arr.dtype}")
+    if arr.dtype.char not in "fd":  # neither float32 nor float64
+        if not np.issubdtype(arr.dtype, np.floating):
+            raise ShapeError(f"unsupported dtype {arr.dtype}: a Tensor holds floats only")
+        arr = arr.astype(np.float64)
     # ascontiguousarray would promote 0-d scalars to 1-d; keep rank as-is
     return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
 
@@ -74,7 +63,8 @@ _KEYS = itertools.count()
 
 
 class Tensor:
-    """Dense row-major array restricted to {float32, float64, int32, uint8}.
+    """Dense row-major float32 or float64 array; other float dtypes become
+    float64, and integer, bool or complex data is a ShapeError.
 
     ``key`` is unique in the process: the tape routes gradients by it."""
 
@@ -90,7 +80,7 @@ class Tensor:
 
     @property
     def dtype(self) -> str:
-        return _NP_TO_NAME[self.data.dtype]
+        return self.data.dtype.name
 
     @property
     def size(self) -> int:
@@ -99,19 +89,16 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def is_float(self) -> bool:
-        return self.dtype in _FLOAT_NAMES
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 def zeros(shape, dtype="float32") -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DTYPES[dtype]))
+    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def full(shape, value, dtype="float32") -> Tensor:
-    return Tensor(np.full(shape, value, dtype=_DTYPES[dtype]))
+    return Tensor(np.full(shape, value, dtype=dtype))
 
 
 class Parameter:
@@ -122,8 +109,6 @@ class Parameter:
     def __init__(self, name: str, value, decay: bool = True):
         self.name = name
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        if not self.value.is_float():
-            raise ShapeError(f"parameter {name} must be float, got {self.value.dtype}")
         self.grad = Tensor(np.zeros_like(self.value.data))
         self.decay = decay  # False exempts from weight decay (BN scale/shift)
 
@@ -134,20 +119,11 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-_TLS = threading.local()
-
-
-def _graph_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_GRAPHS: list["Graph"] = []  # the recording stack; the innermost Graph records
 
 
 def active_graph() -> "Graph | None":
-    stack = _graph_stack()
-    return stack[-1] if stack else None
+    return _GRAPHS[-1] if _GRAPHS else None
 
 
 class Gradients:
@@ -178,11 +154,11 @@ class Graph:
         self._params: dict[int, Parameter] = {}  # by the key of .value
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _GRAPHS.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _graph_stack().pop()
+        popped = _GRAPHS.pop()
         assert popped is self
 
     def backward(self, loss: Tensor) -> Gradients:
@@ -242,9 +218,7 @@ def record(inputs, out: Tensor, bwd) -> Tensor:
     return out
 
 
-def _float_binary(a: Tensor, b: Tensor, opname: str):
-    if not (a.is_float() and b.is_float()):
-        raise ShapeError(f"{opname} requires float tensors")
+def _same_shape(a: Tensor, b: Tensor, opname: str):
     if a.shape != b.shape:
         raise ShapeError(f"{opname}: shape mismatch {a.shape} vs {b.shape}")
 
@@ -255,21 +229,21 @@ def _float_binary(a: Tensor, b: Tensor, opname: str):
 
 def add(a, b) -> Tensor:
     a, b = _unwrap(a), _unwrap(b)
-    _float_binary(a, b, "add")
+    _same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
     return record((a, b), out, lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _unwrap(a), _unwrap(b)
-    _float_binary(a, b, "sub")
+    _same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
     return record((a, b), out, lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _unwrap(a), _unwrap(b)
-    _float_binary(a, b, "mul")
+    _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     out = Tensor(ad * bd)
     return record((a, b), out, lambda g: (g * bd, g * ad))
@@ -277,7 +251,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _unwrap(a), _unwrap(b)
-    _float_binary(a, b, "div")
+    _same_shape(a, b, "div")
     ad, bd = a.data, b.data
     out = Tensor(ad / bd)
     od = out.data
@@ -424,8 +398,6 @@ def concat(xs, axis: int) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _unwrap(a), _unwrap(b)
-    if not (a.is_float() and b.is_float()):
-        raise ShapeError("matmul requires float tensors")
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
@@ -699,8 +671,8 @@ class BatchNormState:
     __slots__ = ("running_mean", "running_var")
 
     def __init__(self, channels: int, dtype: str = "float32"):
-        self.running_mean = np.zeros(channels, dtype=_DTYPES[dtype])
-        self.running_var = np.ones(channels, dtype=_DTYPES[dtype])
+        self.running_mean = np.zeros(channels, dtype=dtype)
+        self.running_var = np.ones(channels, dtype=dtype)
 
     @property
     def channels(self) -> int:

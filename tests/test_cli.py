@@ -225,6 +225,24 @@ def test_missing_checkpoint_exits_3(cli_run, capsys, tmp_path):
     assert "i/o error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 7.45 TiB for an array", "Unable to allocate 7.45 TiB for an array"),
+    ("", "an allocation failed"),
+])
+def test_out_of_memory_exits_3_without_a_traceback(cli_run, capsys, tmp_path, monkeypatch,
+                                                  message, shown):
+    # a batch_size of 10,000,000 fails this way in scene synthesis; raising
+    # it directly allocates nothing
+    from cpnet import train
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(train, "train", out_of_memory)
+    assert entry(["train", "--config", cli_run["config"], "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err == f"out of memory: {shown}\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "dump-prior"])
 def test_corrupt_checkpoint_blob_exits_3(cli_run, capsys, tmp_path, command):
     ckpt = str(tmp_path / "ckpt")

@@ -4,7 +4,9 @@ and every run setting is read somewhere.
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: a name bound by an import statement must be
 read somewhere in the same module.  ``__init__.py`` is exempt, since its
-imports are the package's re-exports.  Imports sit at the top of a module;
+imports are the package's re-exports.  No module reads an
+underscore-prefixed attribute of a module it imports: what another module
+keeps private can change without notice.  Imports sit at the top of a module;
 only ``cli.py`` imports inside functions, so that each subcommand loads
 just what it runs.  Each ``TrainConfig`` field must be read as an
 attribute by some module other than ``config.py``: a field nothing reads
@@ -62,6 +64,35 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_module_reads(source: str) -> list[str]:
+    """``alias.attr`` for each underscore-prefixed, non-dunder attribute read
+    off a name that ``import m`` or ``from package import m`` binds."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            modules.update(a.asname or a.name for a in node.names)  # from . import m
+    return sorted(
+        f"{n.value.id}.{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in modules and n.attr.startswith("_") and not n.attr.startswith("__")
+    )
+
+
+def test_guard_flags_a_private_module_read():
+    src = ("import numpy as np\nfrom . import tensor as T\nfrom .rng import Rng\n"
+           "a = T._DTYPES\nb = np.__version__\nc = Rng._state\nd = np._core\n")
+    assert private_module_reads(src) == ["T._DTYPES", "np._core"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_private_attribute_of_another_module(path):
+    assert private_module_reads(path.read_text()) == []
 
 
 def test_guard_flags_a_function_level_import():

@@ -61,12 +61,15 @@ def rnd(seed, shape, lo=-2.0, hi=2.0):
 # ---------------------------------------------------------------------------
 
 def test_dtype_canonicalization():
-    assert Tensor([1, 2]).dtype == "int32"
-    assert Tensor([1.0, 2.0]).dtype == "float64"
     assert Tensor(np.ones(3, dtype=np.float32)).dtype == "float32"
+    assert Tensor(np.ones(3, dtype=np.float64)).dtype == "float64"
     assert Tensor(np.ones(3, dtype=np.float16)).dtype == "float64"
-    assert Tensor(np.array([True, False])).dtype == "int32"
-    assert Tensor(np.array([1, 2], dtype=np.uint8)).dtype == "uint8"
+    assert Tensor([1.0, 2.0]).dtype == "float64"
+    assert Tensor(2.5).dtype == "float64"
+    # integer and bool data never becomes a Tensor, so no op receives it
+    for data in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([True, False])):
+        with pytest.raises(ShapeError):
+            Tensor(data)
 
 
 def test_zero_dim_tensors_keep_their_rank():
@@ -106,6 +109,7 @@ def test_binary_ops_demand_matching_shapes():
 
 
 def test_binary_ops_demand_floats():
+    # integer operands are refused when the Tensors are built
     with pytest.raises(ShapeError):
         add(Tensor([1, 2]), Tensor([3, 4]))
 
