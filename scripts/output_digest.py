@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Digest of every output the package writes on a fixed set of runs.
+
+Imports cpnet from this checkout's ``src/`` and works in a temporary
+directory, single-threaded.  It prints ``sha256  path`` for each file
+written by:
+
+- a 60-step stock training run (seed 7; eval every 20 steps on 8
+  validation scenes at the stock scales 2/2.5/3 with flip; a checkpoint
+  every 20 steps);
+- a 6-step crop-128 run at batch 4 (seed 9; 48-96 px shapes, eval and a
+  checkpoint every 3 steps on 2 validation scenes);
+- ``cpnet gen-data --count 3`` on the stock config;
+- ``cpnet dump-prior --scene 3`` on the stock run's final checkpoint;
+
+then the relative error of every ``gradcheck.CHECKS`` entry.  Running it
+on two checkouts and diffing the two outputs shows whether a change moved
+any output byte or any gradient check.  Takes several seconds on one core.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+os.environ["CPNET_THREADS"] = "1"  # byte-reproducible runs are single-threaded
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from cpnet.cli import entry  # noqa: E402
+from cpnet.config import TrainConfig, serialize_config  # noqa: E402
+from cpnet.gradcheck import CHECKS  # noqa: E402
+from cpnet.train import train  # noqa: E402
+
+STOCK = TrainConfig(seed=7, total_iterations=60, val_scenes=8, eval_every=20,
+                    checkpoint_every=20)
+CROP128 = TrainConfig(seed=9, total_iterations=6, crop=128, scene_size=128, batch_size=4,
+                      min_shape=48, max_shape=96, val_scenes=2, eval_every=3,
+                      checkpoint_every=3)
+
+
+def _cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):  # its messages name the temp dir
+        code = entry(list(argv))
+    if code != 0:
+        raise SystemExit(f"cpnet {' '.join(argv)} exited {code}")
+
+
+def _digests(root: str) -> list[str]:
+    lines = []
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                digest = hashlib.sha256(f.read()).hexdigest()
+            lines.append(f"{digest}  {os.path.relpath(path, root)}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as root:
+        stock = os.path.join(root, "stock")
+        train(STOCK, stock)
+        train(CROP128, os.path.join(root, "crop128"))
+        config = os.path.join(root, "stock.cfg")
+        with open(config, "w", encoding="utf-8") as f:
+            f.write(serialize_config(TrainConfig()))
+        _cli("gen-data", "--config", config, "--out", os.path.join(root, "data"),
+             "--count", "3")
+        _cli("dump-prior", "--ckpt", os.path.join(stock, "ckpt_final"), "--scene", "3",
+             "--out", os.path.join(root, "prior"))
+        for line in _digests(root):
+            print(line)
+    for name in sorted(CHECKS):
+        print(f"gradcheck {name} rel err {CHECKS[name]()!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

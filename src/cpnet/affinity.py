@@ -2,12 +2,13 @@
 
 The affinity target for an H x W label grid is the N x N boolean matrix
 (N = H*W, flattened row-major) whose (j, i) entry is true exactly when
-pixels j and i carry the same class and neither is ignored.  It stays
-boolean all the way into the loss terms, which each stack it once.  Two
-loss terms supervise a predicted prior map: a per-entry binary
-cross-entropy (the unary term) and per-query precision / recall /
-specificity log terms (the global term).  ``network.total_loss`` weights
-them with the run's ``TrainConfig``.
+pixels j and i carry the same class and neither is ignored.  A batch's
+(B, H, W) labels give one target, (B, N, N) values and (B, N) validity,
+built once per step and read as given by both loss terms, which stay
+boolean throughout.  Two loss terms supervise a predicted prior map: a
+per-entry binary cross-entropy (the unary term) and per-query precision /
+recall / specificity log terms (the global term).  ``network.total_loss``
+weights them with the run's ``TrainConfig``.
 
 The terms take the map in the model's key-major layout, Q = P^T of shape
 (B, N_key, N_query): entry (b, i, j) scores whether key pixel i shares
@@ -30,45 +31,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelmap import LabelMap
+from .labelmap import IGNORE_INDEX, check_classes
 from .tensor import NumericError, ShapeError, Tensor, record
 
 EPS = 1e-7
 
 
-def downsample_labels(gt: LabelMap, out_h: int, out_w: int) -> LabelMap:
-    """Nearest-neighbor label reduction anchored at the top-left of each cell."""
-    h, w = gt.height, gt.width
+def downsample_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Nearest-neighbor reduction of (..., H, W) labels, anchored at the
+    top-left of each cell."""
+    h, w = labels.shape[-2:]
     if out_h < 1 or out_w < 1 or h % out_h or w % out_w:
         raise ShapeError(
             f"cannot downsample {h}x{w} labels to {out_h}x{out_w}: "
             "output must divide input"
         )
-    sh, sw = h // out_h, w // out_w
-    out = gt.labels[::sh, ::sw]
-    return LabelMap(np.ascontiguousarray(out))
+    return labels[..., :: h // out_h, :: w // out_w]
 
 
 @dataclass
 class IdealAffinityMap:
-    """Same-class pair matrix plus the validity mask of its pixels."""
+    """Same-class pair matrices plus the validity masks of their pixels."""
 
-    values: np.ndarray  # (N, N) bool, restricted to valid pairs
-    valid: np.ndarray  # (N,) bool
-
-    @property
-    def n(self) -> int:
-        return self.valid.shape[0]
+    values: np.ndarray  # (..., N, N) bool, restricted to valid pairs
+    valid: np.ndarray  # (..., N) bool
 
     def pair_mask(self) -> np.ndarray:
-        return self.valid[:, None] & self.valid[None, :]
+        return self.valid[..., :, None] & self.valid[..., None, :]
 
 
-def ideal_affinity_map(gt_small: LabelMap, num_classes: int) -> IdealAffinityMap:
-    gt_small.validate_classes(num_classes)
-    lab = gt_small.labels.reshape(-1)
-    valid = gt_small.valid.reshape(-1)
-    return IdealAffinityMap((lab[:, None] == lab[None, :]) & valid[:, None], valid)
+def ideal_affinity_map(labels: np.ndarray, num_classes: int) -> IdealAffinityMap:
+    """Targets for (..., H, W) labels.  Masking the rows by validity keeps the
+    values to valid pairs: an ignored label never equals a valid one."""
+    check_classes(labels, num_classes)
+    lab = labels.reshape(*labels.shape[:-2], -1)
+    valid = lab != IGNORE_INDEX
+    return IdealAffinityMap((lab[..., :, None] == lab[..., None, :]) & valid[..., :, None],
+                            valid)
 
 
 def affinity_image(a: IdealAffinityMap) -> np.ndarray:
@@ -76,25 +75,13 @@ def affinity_image(a: IdealAffinityMap) -> np.ndarray:
     return a.values.astype(np.uint8) * 255
 
 
-def _stack(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (B,N,N) prior, the boolean targets restricted to valid pairs,
-    and the (B,N) validity."""
-    if not isinstance(p, Tensor):
+def _check(q: Tensor, target: IdealAffinityMap) -> np.ndarray:
+    """The (B, N, N) prior map's data, once its shape matches the target's."""
+    if not isinstance(q, Tensor):
         raise TypeError("prior map must be a Tensor")
-    pd = p.data
-    if pd.ndim != 3 or pd.shape[1] != pd.shape[2]:
-        raise ShapeError(f"prior map must be BxNxN, got {p.shape}")
-    if len(maps) != pd.shape[0]:
-        raise ShapeError(f"{pd.shape[0]} prior maps but {len(maps)} targets")
-    n = pd.shape[1]
-    for m in maps:
-        if m.n != n:
-            raise ShapeError(f"target is {m.n}x{m.n} but prior map is {n}x{n}")
-    valid = np.stack([m.valid for m in maps])
-    a = np.stack([m.values for m in maps])
-    a &= valid[:, :, None]
-    a &= valid[:, None, :]
-    return pd, a, valid
+    if q.data.ndim != 3 or q.shape != target.values.shape:
+        raise ShapeError(f"prior map {q.shape} does not match target {target.values.shape}")
+    return q.data
 
 
 def _residual(pd: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -103,7 +90,7 @@ def _residual(pd: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.subtract(~a, r, out=r)
 
 
-def unary_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> Tensor:
+def unary_affinity_loss(p: Tensor, target: IdealAffinityMap) -> Tensor:
     """Mean binary cross-entropy over valid pairs, averaged over the batch.
 
     Probabilities are clamped to [EPS, 1-EPS] before the logs; the clamp
@@ -113,7 +100,7 @@ def unary_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> Tensor:
     pair's loss is -log|r| and its gradient is 1/r.  The backward keeps the
     boolean target, not r, and rebuilds r bit for bit from it and the prior.
     """
-    pd, a, valid = _stack(p, maps)
+    pd, a, valid = _check(p, target), target.values, target.valid
     nv = valid.sum(axis=1)
     if (nv == 0).any():
         raise NumericError("unary affinity loss: an image has no valid pixels")
@@ -145,7 +132,7 @@ class GlobalTerms:
     specificity: float
 
 
-def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tensor, GlobalTerms]:
+def global_affinity_loss(p: Tensor, target: IdealAffinityMap) -> tuple[Tensor, GlobalTerms]:
     """Per-query precision / recall / specificity loss on the prior map.
 
     For each valid query j (sums over valid keys i of one image, that is,
@@ -164,7 +151,7 @@ def global_affinity_loss(p: Tensor, maps: list[IdealAffinityMap]) -> tuple[Tenso
     sum((1-a)*(1-p)) = sum(1-a) - sum(p) + sum(a*p).  The sums accumulate
     in float64 because that difference can cancel.
     """
-    pd, a, valid = _stack(p, maps)
+    pd, a, valid = _check(p, target), target.values, target.valid
     nv = valid.sum(axis=1)
     if (nv == 0).any():
         raise NumericError("global affinity loss: an image has no valid rows")

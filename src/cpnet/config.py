@@ -98,6 +98,7 @@ _RULES = (
     (("poly_power", "momentum", "weight_decay", "noise_std", "lambda_s", "lambda_a", "lambda_p",
       "lambda_u", "lambda_g"), lambda v: 0 <= v < math.inf, "non-negative and finite"),
     (("flip_prob", "shadow_prob"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("seed",), lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)"),  # rng reads it mod 2**64
 )
 
 
@@ -117,11 +118,8 @@ def _parse_value(text: str, template):
         return low == "true"
     if isinstance(template, (int, float)):
         return type(template)(text)
-    if isinstance(template, tuple):
-        elem = template[0] if template else 0.0
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        return tuple(_parse_value(p, elem) for p in parts)
-    return text
+    parts = [p.strip() for p in text.split(",") if p.strip()]  # a tuple field
+    return tuple(_parse_value(p, template[0]) for p in parts)
 
 
 def serialize_config(cfg: TrainConfig) -> str:

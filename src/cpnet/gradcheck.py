@@ -21,7 +21,7 @@ from . import tensor as T
 from .affinity import global_affinity_loss, ideal_affinity_map, unary_affinity_loss
 from .config import TrainConfig
 from .context_prior import AggregationModule, ContextPriorLayer
-from .labelmap import IGNORE_INDEX, LabelMap
+from .labelmap import IGNORE_INDEX
 from .network import CPNet, cpnet_forward, total_loss
 from .tensor import Graph, Tensor
 
@@ -254,19 +254,19 @@ def _random_affinity_target(rng):
     labels[rng.random(size=labels.shape) < 0.15] = IGNORE_INDEX
     if (labels != IGNORE_INDEX).sum() == 0:
         labels[0, 0] = 0
-    return ideal_affinity_map(LabelMap(labels), 3)
+    return ideal_affinity_map(labels[None], 3)
 
 
 def _bld_affinity_unary(rng):
     a = _random_affinity_target(rng)
-    p = rng.uniform(0.05, 0.95, size=(1, a.n, a.n))
-    return [p], lambda tp: unary_affinity_loss(tp, [a])
+    p = rng.uniform(0.05, 0.95, size=a.values.shape)
+    return [p], lambda tp: unary_affinity_loss(tp, a)
 
 
 def _bld_affinity_global(rng):
     a = _random_affinity_target(rng)
-    p = rng.uniform(0.05, 0.95, size=(1, a.n, a.n))
-    return [p], lambda tp: global_affinity_loss(tp, [a])[0]
+    p = rng.uniform(0.05, 0.95, size=a.values.shape)
+    return [p], lambda tp: global_affinity_loss(tp, a)[0]
 
 
 def _bld_aggregation(rng):
@@ -292,7 +292,7 @@ def _bld_context_prior(rng):
     head = rng.normal(size=(3, 3 + 2 * 4, 1, 1)) * 0.4
     x = rng.normal(size=(2, 3, 2, 2))
     labels = rng.integers(0, 3, size=(2, 2, 2)).astype(np.int32)
-    targets = [ideal_affinity_map(LabelMap(lab), 3) for lab in labels]
+    target = ideal_affinity_map(labels, 3)
     params = layer.parameters()
     arrays = [x, head] + [p.value.data for p in params]
 
@@ -302,8 +302,8 @@ def _bld_context_prior(rng):
         feats, prior = layer(tx, "train")
         logits = T.conv2d(feats, thead)
         ce = T.softmax_cross_entropy(logits, labels)
-        lu = unary_affinity_loss(prior, targets)
-        lg, _ = global_affinity_loss(prior, targets)
+        lu = unary_affinity_loss(prior, target)
+        lg, _ = global_affinity_loss(prior, target)
         return T.add(ce, T.add(lu, lg))
 
     return arrays, f
@@ -345,19 +345,18 @@ def full_model_check(progress: Callable[[str], None] | None = None) -> float:
     image = Tensor(rng.random(size=(2, 3, 16, 16)))
     labels = rng.integers(0, 3, size=(2, 16, 16)).astype(np.int32)
     labels[0, :2, :2] = IGNORE_INDEX
-    gts = [LabelMap(lab) for lab in labels]
     cfg = TrainConfig()  # the stock loss weights
 
     def loss_value() -> float:
-        logits, aux, prior, a = cpnet_forward(model, image, gts)
-        return total_loss(logits, aux, prior, a, gts, cfg).total.item()
+        logits, aux, prior, a = cpnet_forward(model, image, labels)
+        return total_loss(logits, aux, prior, a, labels, cfg).total.item()
 
     params = model.parameters()
     for param in params:
         param.zero_grad()
     with Graph() as g:
-        logits, aux, prior, a = cpnet_forward(model, image, gts)
-        terms = total_loss(logits, aux, prior, a, gts, cfg)
+        logits, aux, prior, a = cpnet_forward(model, image, labels)
+        terms = total_loss(logits, aux, prior, a, labels, cfg)
     g.backward(terms.total)
 
     worst = 0.0

@@ -6,6 +6,10 @@ field keeps growing at constant resolution.  Stage 5 feeds the context
 prior layer and the 1x1 segmentation head; stage 4 feeds an auxiliary
 head whose loss regularizes the lower stages in training (eval skips it).
 Both logit maps are upsampled x8 back to input resolution.
+
+A training batch's labels are one (B, H, W) integer array: ``cpnet_forward``
+builds the batch's affinity target from it once, and ``total_loss`` hands
+that one target to both affinity terms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from . import affinity
 from . import tensor as T
 from .config import TrainConfig
 from .context_prior import ContextPriorLayer
-from .labelmap import LabelMap
 from .layers import Conv2d, ConvBnRelu, Module
 from .tensor import ShapeError
 
@@ -128,26 +131,19 @@ class TotalLossTerms:
     total: T.Tensor
 
 
-def affinity_targets(gt_batch, num_classes: int, feat_hw: int) -> list[affinity.IdealAffinityMap]:
-    """Downsample each ground-truth map to the feature grid and build targets."""
-    return [
-        affinity.ideal_affinity_map(affinity.downsample_labels(gt, feat_hw, feat_hw), num_classes)
-        for gt in gt_batch
-    ]
+def affinity_targets(labels: np.ndarray, num_classes: int,
+                     feat_hw: int) -> affinity.IdealAffinityMap:
+    """Downsample (B, H, W) labels to the feature grid and build the batch's target."""
+    return affinity.ideal_affinity_map(affinity.downsample_labels(labels, feat_hw, feat_hw),
+                                       num_classes)
 
 
-def cpnet_forward(model: CPNet, image: T.Tensor, gt_batch: list[LabelMap]):
-    """Forward pass plus affinity targets for the batch."""
-    if len(gt_batch) != image.shape[0]:
-        raise ShapeError(f"{image.shape[0]} images but {len(gt_batch)} label maps")
-    for gt in gt_batch:
-        if (gt.height, gt.width) != (image.shape[2], image.shape[3]):
-            raise ShapeError(
-                f"labels {gt.height}x{gt.width} do not match image "
-                f"{image.shape[2]}x{image.shape[3]}"
-            )
+def cpnet_forward(model: CPNet, image: T.Tensor, labels: np.ndarray):
+    """Forward pass plus the affinity target of the batch's (B, H, W) labels."""
+    if labels.shape != (image.shape[0], *image.shape[2:]):
+        raise ShapeError(f"labels {labels.shape} do not match images {image.shape}")
     logits, aux, q = model.forward(image, mode="train")
-    a = affinity_targets(gt_batch, model.num_classes, model.feat_hw) if q is not None else None
+    a = affinity_targets(labels, model.num_classes, model.feat_hw) if q is not None else None
     return logits, aux, q, a
 
 
@@ -155,13 +151,12 @@ def total_loss(
     logits: T.Tensor,
     aux_logits: T.Tensor,
     q: T.Tensor | None,
-    a: list[affinity.IdealAffinityMap] | None,
-    gt_batch: list[LabelMap],
+    a: affinity.IdealAffinityMap | None,
+    labels: np.ndarray,
     cfg: TrainConfig,
 ) -> TotalLossTerms:
     """L = lambda_s*L_s + lambda_a*L_a + lambda_p*(lambda_u*L_u + lambda_g*L_g),
     with the weights of ``cfg``; without the prior layer the prior terms read 0."""
-    labels = np.stack([gt.labels for gt in gt_batch])
     seg = T.softmax_cross_entropy(logits, labels)
     aux = T.softmax_cross_entropy(aux_logits, labels)
     total = T.add(T.scale(seg, cfg.lambda_s), T.scale(aux, cfg.lambda_a))

@@ -211,12 +211,12 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         seeds = [derive(scene_base, it * cfg.batch_size + i) for i in range(cfg.batch_size)]
         batch = [augment(s, aug_rng, cfg) for s in gen_synthetic_scenes(seeds, cfg)]
         image = T.Tensor(np.stack([b.image for b in batch]))
-        gts = [b.labels for b in batch]
+        labels = np.stack([b.labels.labels for b in batch])
 
         for p in params:
             p.zero_grad()
         with T.Graph() as g:  # the loss alone outlives the forward's outputs
-            terms = total_loss(*cpnet_forward(model, image, gts), gts, cfg)
+            terms = total_loss(*cpnet_forward(model, image, labels), labels, cfg)
         total = terms.total.item()
         if not np.isfinite(total):
             raise NumericError(
@@ -230,7 +230,7 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
                   total)
         # nothing reads the tape or the batch past the update: free them
         # before the next batch is made or the model is evaluated
-        del g, terms, image, batch, gts
+        del g, terms, image, batch, labels
 
         if cfg.log_every and step % cfg.log_every == 0:
             _append_line(csv_path, ",".join([str(step), repr(lr)]
@@ -280,7 +280,7 @@ def affinity_series(csv_path: str) -> list[tuple[int, float]]:
 # ---------------------------------------------------------------------------
 
 def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
-    """Write P, 1-P, the affinity target, and input/prediction images."""
+    """Write P, 1-P, the affinity target (built as in training), and input/prediction images."""
     os.makedirs(out_dir, exist_ok=True)
     crop = model.feat_hw * 8
     img = scene.image
@@ -289,7 +289,6 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
         lab = resize_labels(scene.labels.labels, crop, crop)
     else:
         lab = scene.labels.labels
-    gt = LabelMap(lab)
 
     logits, _aux, q = model.forward(T.Tensor(img[None]), mode="eval")
     paths = []
@@ -303,12 +302,11 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
         pm = q.data[0].T.astype(np.float64)
         emit("prior.pgm", write_pgm, np.round(pm * 255).astype(np.uint8))
         emit("prior_inv.pgm", write_pgm, np.round((1 - pm) * 255).astype(np.uint8))
-    small = downsample_labels(gt, model.feat_hw, model.feat_hw)
-    amap = ideal_affinity_map(small, model.num_classes)
-    emit("affinity.pgm", write_pgm, affinity_image(amap))
+    small = downsample_labels(lab, model.feat_hw, model.feat_hw)
+    emit("affinity.pgm", write_pgm, affinity_image(ideal_affinity_map(small, model.num_classes)))
     emit("input.ppm", write_ppm,
          np.round(img.transpose(1, 2, 0) * 255).astype(np.uint8))
     pred = LabelMap(_softmax(logits.data[0]).argmax(axis=0).astype(np.int32))
     emit("pred.ppm", write_ppm, labels_to_rgb(pred))
-    emit("gt.ppm", write_ppm, labels_to_rgb(gt))
+    emit("gt.ppm", write_ppm, labels_to_rgb(LabelMap(lab)))
     return paths

@@ -31,7 +31,7 @@ from cpnet.context_prior import (
 )
 from cpnet.fileio import load_checkpoint
 from cpnet.gradcheck import CHECKS, TOLERANCE, full_model_check
-from cpnet.labelmap import IGNORE_INDEX, LabelMap
+from cpnet.labelmap import IGNORE_INDEX
 from cpnet.optim import SgdMomentum, poly_lr
 from cpnet.rng import Rng, bulk_uniform
 from cpnet.tensor import Parameter, Tensor
@@ -103,7 +103,7 @@ def test_criterion_1_affinity_map_matches_brute_force():
         cases.append((labs, classes))
 
     t0 = time.perf_counter()
-    maps = [ideal_affinity_map(LabelMap(labs), classes) for labs, classes in cases]
+    maps = [ideal_affinity_map(labs, classes) for labs, classes in cases]
     elapsed = time.perf_counter() - t0
 
     bad = 0
@@ -139,19 +139,19 @@ def test_criterion_2_loss_zero_points():
             else:
                 labs.flat[idx] = rng.randint(3)
         labs.flat[0] = 0
-        amap = ideal_affinity_map(LabelMap(labs), 3)
-        p = Tensor(amap.values[None].astype(np.float64))
-        worst_u = max(worst_u, unary_affinity_loss(p, [amap]).item())
-        lg, _terms = global_affinity_loss(p, [amap])
+        amap = ideal_affinity_map(labs[None], 3)
+        p = Tensor(amap.values.astype(np.float64))
+        worst_u = max(worst_u, unary_affinity_loss(p, amap).item())
+        lg, _terms = global_affinity_loss(p, amap)
         worst_g = max(worst_g, lg.item())
 
     # the uninformative prior on a two-column two-class map has a
     # closed-form score: ln 2 per binary term
     labs2 = np.array([[0, 1], [0, 1]], dtype=np.int32)
-    amap2 = ideal_affinity_map(LabelMap(labs2), 2)
+    amap2 = ideal_affinity_map(labs2[None], 2)
     p_half = Tensor(np.full((1, 4, 4), 0.5))
-    lu = unary_affinity_loss(p_half, [amap2]).item()
-    lg2, _ = global_affinity_loss(p_half, [amap2])
+    lu = unary_affinity_loss(p_half, amap2).item()
+    lg2, _ = global_affinity_loss(p_half, amap2)
     ln2 = math.log(2.0)
     du = abs(lu - ln2)
     dg = abs(lg2.item() - 3.0 * ln2)
@@ -261,7 +261,7 @@ def test_criterion_7_learned_prior_agrees_with_target(six_runs):
     agree = total = 0
     for scene in val_scenes(cfg):
         _logits, _aux, p = model.forward(Tensor(scene.image[None]), mode="eval")
-        small = downsample_labels(scene.labels, model.feat_hw, model.feat_hw)
+        small = downsample_labels(scene.labels.labels, model.feat_hw, model.feat_hw)
         amap = ideal_affinity_map(small, cfg.num_classes)
         mask = amap.pair_mask()
         pred = p.data[0] > 0.5

@@ -146,7 +146,7 @@ def _run_cli_with_config(tmp_path, line, *args):
 
 @pytest.mark.parametrize("line", ["eval_scales =", "base_lr = nan", "crop = 0",
                                   "max_shape = 100000000000000000000",
-                                  "crop = 800000000000000000000"])
+                                  "crop = 800000000000000000000", "seed = -1"])
 def test_unusable_config_exits_1_without_a_traceback(tmp_path, line):
     proc = _run_cli_with_config(tmp_path, line, "train", "--out", str(tmp_path / "run"))
     assert proc.returncode == 1

@@ -133,6 +133,10 @@ def test_tuple_fields_parse_comma_lists():
         ("crop", 8 * 10 ** 20),
         ("scene_size", MAX_SIDE + 8),
         ("crop", MAX_SIDE + 8),
+        # the rng reads seeds modulo 2**64: these trained the runs of seeds
+        # 2**64 - 1 and 0
+        ("seed", -1),
+        ("seed", 2 ** 64),
     ],
 )
 def test_validation_rejects_bad_settings(field, value):
@@ -143,7 +147,8 @@ def test_validation_rejects_bad_settings(field, value):
 
 def test_large_finite_values_stay_valid():
     dataclasses.replace(TrainConfig(), base_lr=1e25, momentum=0.0, noise_std=0.0,
-                        flip_prob=1.0, shadow_prob=0.0, min_shape=24).validate()
+                        flip_prob=1.0, shadow_prob=0.0, min_shape=24,
+                        seed=2 ** 64 - 1).validate()
 
 
 _KEYS = [f.name for f in dataclasses.fields(TrainConfig)]

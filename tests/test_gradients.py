@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from cpnet.affinity import ideal_affinity_map, unary_affinity_loss
-from cpnet.labelmap import LabelMap
 from cpnet.rng import bulk_uniform
 from cpnet.tensor import (
     BatchNormState,
@@ -198,15 +197,17 @@ def test_unary_term_keeps_the_boolean_target_not_a_float_pair_array():
     # its backward rebuilds r = (not a) - clip(q) from the boolean target, so
     # the only float (B, N, N) array its closure holds is the prior map itself
     labels = rnd(27, (2, 4, 4), 0.0, 3.0).astype(np.int32)
-    maps = [ideal_affinity_map(LabelMap(lab), 3) for lab in labels]
+    target = ideal_affinity_map(labels, 3)
     q = Tensor(rnd(28, (2, 16, 16), 0.02, 0.98).astype(np.float32))
     with Graph() as g:
-        unary_affinity_loss(q, maps)
+        unary_affinity_loss(q, target)
     (_inputs, _out, bwd), = g.nodes
     held = [cell.cell_contents for cell in bwd.__closure__]
     pairs = [x for x in held if isinstance(x, np.ndarray) and x.shape == q.shape]
     assert [x is q.data for x in pairs if x.dtype.kind == "f"] == [True]
     assert [x.dtype for x in pairs if x.dtype.kind != "f"] == [np.dtype(bool)]
+    # the batch's target itself, which the global term reads too, not a copy
+    assert [x is target.values for x in pairs if x.dtype.kind != "f"] == [True]
 
 
 def _reachable_arrays(fn):

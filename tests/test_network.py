@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cpnet.config import TrainConfig
-from cpnet.labelmap import IGNORE_INDEX, LabelMap
 from cpnet.network import (
     DILATIONS,
     OUTPUT_STRIDE,
@@ -30,8 +29,7 @@ def rnd_image(seed, batch, side):
 
 
 def rnd_labels(seed, batch, side, classes=3):
-    labs = (bulk_uniform(seed, (batch, side, side)) * classes).astype(np.int32)
-    return [LabelMap(labs[i]) for i in range(batch)]
+    return (bulk_uniform(seed, (batch, side, side)) * classes).astype(np.int32)
 
 
 def small_model(use_context_prior=True, seed=0, side=16):
@@ -176,21 +174,23 @@ def test_train_forward_updates_running_statistics():
 
 def test_affinity_targets_downsample_then_compare():
     gts = rnd_labels(6, 2, 16)
-    maps = affinity_targets(gts, 3, 2)
-    assert len(maps) == 2
-    assert maps[0].n == 4
+    target = affinity_targets(gts, 3, 2)
+    assert target.values.shape == (2, 4, 4)
     # the target is built from the top-left pixel of each 8x8 cell
-    anchors = gts[0].labels[::8, ::8].reshape(-1)
-    same = anchors[:, None] == anchors[None, :]
-    assert np.array_equal(maps[0].values, same.astype(float))
+    for b in range(2):
+        anchors = gts[b, ::8, ::8].reshape(-1)
+        same = anchors[:, None] == anchors[None, :]
+        assert np.array_equal(target.values[b], same.astype(float))
 
 
 def test_cpnet_forward_validates_batch_agreement():
     model = small_model()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="do not match"):  # batch sizes differ
         cpnet_forward(model, rnd_image(8, 2, 16), rnd_labels(9, 1, 16))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="do not match"):  # H and W differ
         cpnet_forward(model, rnd_image(10, 1, 16), rnd_labels(11, 1, 8))
+    with pytest.raises(ShapeError, match="do not match"):  # W alone differs
+        cpnet_forward(model, rnd_image(10, 1, 16), rnd_labels(11, 1, 16)[:, :, :8])
 
 
 def test_total_loss_is_the_stated_weighted_sum():
