@@ -94,16 +94,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .fileio import FormatError, load_dataset
+    from .labelmap import IGNORE_INDEX, check_classes
     from .train import evaluate, load_model
 
     model, cfg, _step = load_model(args.ckpt)
     scenes = load_dataset(args.data)
     for i, scene in enumerate(scenes):
         try:
-            scene.labels.validate_classes(cfg.num_classes)
+            check_classes(scene.labels.labels, cfg.num_classes)
         except ValueError as e:
             raise FormatError(f"{args.data}: scene {i}: {e}") from e
-    if not any(scene.labels.valid.any() for scene in scenes):
+    if not any((scene.labels.labels != IGNORE_INDEX).any() for scene in scenes):
         raise FormatError(f"{args.data}: no labelled pixel to evaluate")
     if args.scales is not None:
         cfg = _override(cfg, "eval_scales", args.scales, "--scales")

@@ -49,6 +49,8 @@ _TAG_NOISE = 0x02
 
 @dataclass
 class SyntheticScene:
+    """A scene and the seed that drew it; ``labels.labels`` is its (H, W) int32 grid."""
+
     image: np.ndarray  # (3, H, W) float32 in [0, 1]
     labels: LabelMap
     seed: int
@@ -58,13 +60,13 @@ def class_color(cls: int) -> np.ndarray:
     return PALETTE[cls % len(PALETTE)]
 
 
-def labels_to_rgb(labels: LabelMap) -> np.ndarray:
-    """(H, W, 3) uint8 rendering; ignored pixels are black."""
-    out = np.zeros(labels.labels.shape + (3,), dtype=np.uint8)
-    for cls in np.unique(labels.labels):
-        if cls == labels.ignore_index:
+def labels_to_rgb(labels: np.ndarray) -> np.ndarray:
+    """(H, W, 3) uint8 rendering of an (H, W) label array; ignored pixels are black."""
+    out = np.zeros(labels.shape + (3,), dtype=np.uint8)
+    for cls in np.unique(labels):
+        if cls == IGNORE_INDEX:
             continue
-        out[labels.labels == cls] = (class_color(int(cls)) * 255).astype(np.uint8)
+        out[labels == cls] = (class_color(int(cls)) * 255).astype(np.uint8)
     return out
 
 
@@ -187,13 +189,12 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def update(self, pred, gt) -> None:
-        pl = pred.labels if isinstance(pred, LabelMap) else np.asarray(pred)
-        gl = gt.labels if isinstance(gt, LabelMap) else np.asarray(gt)
-        if pl.shape != gl.shape:
-            raise ShapeError(f"prediction {pl.shape} vs ground truth {gl.shape}")
-        mask = gl != IGNORE_INDEX
-        idx = gl[mask].astype(np.int64) * self.num_classes + pl[mask].astype(np.int64)
+    def update(self, pred: np.ndarray, gt: np.ndarray) -> None:
+        """Count one scene's (H, W) predicted and ground-truth label arrays."""
+        if pred.shape != gt.shape:
+            raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
+        mask = gt != IGNORE_INDEX
+        idx = gt[mask].astype(np.int64) * self.num_classes + pred[mask].astype(np.int64)
         binc = np.bincount(idx, minlength=self.num_classes ** 2)
         self.counts += binc.reshape(self.num_classes, self.num_classes)
 

@@ -21,34 +21,13 @@ def check_classes(labels: np.ndarray, num_classes: int) -> None:
 
 @dataclass
 class LabelMap:
-    """A dense H x W grid of integer class labels.
+    """A scene's label record: ``labels``, its (H, W) int32 class grid.
 
     Entries equal to ``ignore_index`` (always IGNORE_INDEX) mark unlabeled
     pixels: they are excluded from every loss, metric, and affinity target.
+    Only ``data`` and ``fileio`` build one; past the scene, labels are bare arrays.
+    ``perfbench/workloads.py``'s ``reference_counts`` reads both fields.
     """
 
     labels: np.ndarray
     ignore_index: ClassVar[int] = IGNORE_INDEX
-
-    def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if arr.ndim != 2:
-            raise ValueError(f"labels must be 2-D, got shape {arr.shape}")
-        self.labels = np.ascontiguousarray(arr, dtype=np.int32)
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def valid(self) -> np.ndarray:
-        """Boolean H x W mask of non-ignored pixels."""
-        return self.labels != self.ignore_index
-
-    def validate_classes(self, num_classes: int) -> None:
-        """Raise if any non-ignored label falls outside [0, num_classes)."""
-        check_classes(self.labels, num_classes)

@@ -26,7 +26,6 @@ from .data import (
     resize_labels,
 )
 from .fileio import FormatError, load_checkpoint, save_checkpoint, write_pgm, write_ppm
-from .labelmap import LabelMap
 from .network import CPNet, cpnet_forward, total_loss
 from .optim import SgdMomentum, poly_lr
 from .rng import Rng, derive
@@ -147,9 +146,10 @@ def predict_scene_probs(
     return acc / (len(scales) * (2 if flip else 1))
 
 
-def predict_labels(model, image, window, scales=(1.0,), flip=False) -> LabelMap:
+def predict_labels(model, image, window, scales=(1.0,), flip=False) -> np.ndarray:
+    """The (H, W) int32 argmax of ``predict_scene_probs``."""
     probs = predict_scene_probs(model, image, window, scales, flip)
-    return LabelMap(probs.argmax(axis=0).astype(np.int32))
+    return probs.argmax(axis=0).astype(np.int32)
 
 
 def evaluate(
@@ -162,8 +162,7 @@ def evaluate(
     """(pixel accuracy, mean IoU) over a list of scenes."""
     cm = ConfusionMatrix(model.num_classes)
     for scene in scenes:
-        pred = predict_labels(model, scene.image, window, scales, flip)
-        cm.update(pred, scene.labels)
+        cm.update(predict_labels(model, scene.image, window, scales, flip), scene.labels.labels)
     return cm.pix_acc(), cm.mean_iou()
 
 
@@ -306,7 +305,6 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
     emit("affinity.pgm", write_pgm, affinity_image(ideal_affinity_map(small, model.num_classes)))
     emit("input.ppm", write_ppm,
          np.round(img.transpose(1, 2, 0) * 255).astype(np.uint8))
-    pred = LabelMap(_softmax(logits.data[0]).argmax(axis=0).astype(np.int32))
-    emit("pred.ppm", write_ppm, labels_to_rgb(pred))
-    emit("gt.ppm", write_ppm, labels_to_rgb(LabelMap(lab)))
+    emit("pred.ppm", write_ppm, labels_to_rgb(_softmax(logits.data[0]).argmax(axis=0)))
+    emit("gt.ppm", write_ppm, labels_to_rgb(lab))
     return paths

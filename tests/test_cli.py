@@ -315,25 +315,29 @@ def test_eval_repeated_scene_id_exits_3(cli_run, capsys, tmp_path):
     assert "i/o error:" in err and "'00001' repeats an earlier entry" in err
 
 
-def _malformed_dataset(cli_run, tmp_path, labels):
+def _malformed_dataset(cli_run, tmp_path, part, array):
     data = str(tmp_path / "data")
     shutil.copytree(cli_run["data"], data)
-    write_cpt(os.path.join(data, "00001.lbl.cpt"), labels)
+    write_cpt(os.path.join(data, f"00001.{part}.cpt"), array)
     return data
 
 
-@pytest.mark.parametrize("defect", ["label_shape", "label_class"])
+@pytest.mark.parametrize("defect", ["label_shape", "label_class", "label_dtype", "image_dtype"])
 def test_eval_malformed_dataset_exits_3_before_evaluating(cli_run, capsys, tmp_path,
                                                           monkeypatch, defect):
     import cpnet.train
 
     size = cli_run["cfg"].scene_size
+    part, array = "lbl", np.zeros((size, size), dtype=np.int32)
     if defect == "label_shape":
-        labels = np.zeros((size // 2, size // 2), dtype=np.int32)
-    else:
-        labels = np.zeros((size, size), dtype=np.int32)
-        labels[3, 5] = cli_run["cfg"].num_classes + 6
-    data = _malformed_dataset(cli_run, tmp_path, labels)
+        array = np.zeros((size // 2, size // 2), dtype=np.int32)
+    elif defect == "label_class":
+        array[3, 5] = cli_run["cfg"].num_classes + 6
+    elif defect == "label_dtype":  # would truncate to class 1
+        array = np.full((size, size), 1.7, dtype=np.float32)
+    else:  # 8-bit intensities, not the [0, 1] floats the model reads
+        part, array = "img", np.full((3, size, size), 200, dtype=np.uint8)
+    data = _malformed_dataset(cli_run, tmp_path, part, array)
 
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate() ran on a malformed dataset")

@@ -21,7 +21,7 @@ from cpnet.data import (
     resize_labels,
 )
 from cpnet.config import TrainConfig
-from cpnet.labelmap import IGNORE_INDEX, LabelMap
+from cpnet.labelmap import IGNORE_INDEX, check_classes
 from cpnet.rng import Rng, derive
 from cpnet.tensor import ShapeError
 from cpnet.train import TAG_AUG, TAG_TRAIN_SCENES, val_scene
@@ -103,8 +103,7 @@ def test_palette_has_distinct_colors():
 
 
 def test_labels_to_rgb_uses_palette_and_blacks_out_ignores():
-    lab = LabelMap(np.array([[0, 1], [IGNORE_INDEX, 2]], dtype=np.int32))
-    rgb = labels_to_rgb(lab)
+    rgb = labels_to_rgb(np.array([[0, 1], [IGNORE_INDEX, 2]], dtype=np.int32))
     assert rgb.dtype == np.uint8
     assert np.array_equal(rgb[0, 0], (PALETTE[0] * 255).astype(np.uint8))
     assert np.array_equal(rgb[0, 1], (PALETTE[1] * 255).astype(np.uint8))
@@ -182,11 +181,12 @@ def test_scale_scene_rounds_sizes():
     # 48 px crop is filled exactly
     sc = gen_synthetic_scene(15, TrainConfig())
     small = augment(sc, Rng(0), _fixed(scale=0.75))
-    assert np.array_equal(np.argwhere(small.labels.valid).max(axis=0), [23, 23])
-    assert small.labels.valid[:24, :24].all()
+    valid = small.labels.labels != IGNORE_INDEX
+    assert np.array_equal(np.argwhere(valid).max(axis=0), [23, 23])
+    assert valid[:24, :24].all()
     rng, probe = Rng(0), Rng(0)
     big = augment(sc, rng, _fixed(scale=1.5, crop=48))
-    assert big.labels.labels.shape == (48, 48) and big.labels.valid.all()
+    assert big.labels.labels.shape == (48, 48) and (big.labels.labels != IGNORE_INDEX).all()
     probe.uniform(), probe.randint(1)
     assert rng.state() == probe.state()  # no crop offset drawn: 48 px fit exactly
 
@@ -296,18 +296,16 @@ def test_crop128_data_stream_is_pinned():
 # ---------------------------------------------------------------------------
 
 def test_label_map_basics():
-    lab = LabelMap(np.array([[0, IGNORE_INDEX], [1, 2]], dtype=np.int32))
-    assert (lab.height, lab.width) == (2, 2)
-    assert np.array_equal(lab.valid, [[True, False], [True, True]])
-    lab.validate_classes(3)
+    lab = np.array([[0, IGNORE_INDEX], [1, 2]], dtype=np.int32)
+    check_classes(lab, 3)  # the ignored pixel is not a class
     with pytest.raises(ValueError):
-        lab.validate_classes(2)
+        check_classes(lab, 2)
 
 
 def test_label_map_reports_offending_pixel():
-    lab = LabelMap(np.array([[0, 5]], dtype=np.int32))
+    lab = np.array([[0, 5]], dtype=np.int32)
     with pytest.raises(ValueError, match=r"label 5 at pixel \(0, 1\) is outside \[0, 3\)"):
-        lab.validate_classes(3)
+        check_classes(lab, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,7 @@ def scored(pred, gt, classes) -> ConfusionMatrix:
 
 
 def test_perfect_prediction_scores_one():
-    gt = gen_synthetic_scene(19, TrainConfig()).labels
+    gt = gen_synthetic_scene(19, TrainConfig()).labels.labels
     cm = scored(gt, gt, 4)
     assert cm.pix_acc() == 1.0
     assert cm.mean_iou() == 1.0
@@ -356,7 +354,7 @@ def test_metrics_match_brute_force_on_a_fixture():
          [2, 1, 0, 1],
          [2, 0, 1, 1]], dtype=np.int32)
     want_counts, want_acc, want_miou = brute_metrics(pred, gt, 3)
-    cm = scored(pred, LabelMap(gt), 3)
+    cm = scored(pred, gt, 3)
     assert np.array_equal(cm.counts, want_counts)
     assert cm.pix_acc() == pytest.approx(want_acc, rel=1e-12)
     assert cm.mean_iou() == pytest.approx(want_miou, rel=1e-12)
@@ -365,7 +363,7 @@ def test_metrics_match_brute_force_on_a_fixture():
 def test_ignored_pixels_never_enter_the_counts():
     gt = np.array([[0, IGNORE_INDEX], [IGNORE_INDEX, 1]], dtype=np.int32)
     pred = np.array([[0, 0], [1, 0]], dtype=np.int32)
-    counts = scored(pred, LabelMap(gt), 2).counts
+    counts = scored(pred, gt, 2).counts
     assert counts.sum() == 2  # only the two valid pixels
 
 
@@ -395,14 +393,14 @@ def test_mean_iou_averages_only_over_present_classes():
     gt = np.array([[0, 0], [1, 1]], dtype=np.int32)
     pred = np.array([[0, 1], [1, 1]], dtype=np.int32)
     # class 0: tp 1, union 2 -> 0.5 ; class 1: tp 2, union 3 -> 2/3
-    assert scored(pred, LabelMap(gt), 3).mean_iou() == pytest.approx((0.5 + 2 / 3) / 2)
+    assert scored(pred, gt, 3).mean_iou() == pytest.approx((0.5 + 2 / 3) / 2)
 
 
 def test_false_positives_drag_in_absent_classes():
     # class 2 exists only as a wrong prediction: IoU 0 joins the average
     gt = np.array([[0, 0]], dtype=np.int32)
     pred = np.array([[0, 2]], dtype=np.int32)
-    assert scored(pred, LabelMap(gt), 3).mean_iou() == pytest.approx((0.5 + 0.0) / 2)
+    assert scored(pred, gt, 3).mean_iou() == pytest.approx((0.5 + 0.0) / 2)
 
 
 @given(st.permutations(list(range(4))), st.integers(0, 2**32 - 1))
@@ -416,7 +414,7 @@ def test_metrics_are_invariant_under_class_relabeling(perm, seed):
     lut = np.array(perm, dtype=np.int32)
     gt_p = np.where(gt == IGNORE_INDEX, IGNORE_INDEX, lut[np.clip(gt, 0, 3)])
     pred_p = lut[pred]
-    a = scored(pred, LabelMap(gt), 4)
-    b = scored(pred_p, LabelMap(gt_p.astype(np.int32)), 4)
+    a = scored(pred, gt, 4)
+    b = scored(pred_p, gt_p.astype(np.int32), 4)
     assert a.pix_acc() == pytest.approx(b.pix_acc(), rel=1e-12)
     assert a.mean_iou() == pytest.approx(b.mean_iou(), rel=1e-12)

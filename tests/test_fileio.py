@@ -24,6 +24,7 @@ from cpnet.fileio import (
     write_pgm,
     write_ppm,
 )
+from cpnet.labelmap import IGNORE_INDEX
 from cpnet.rng import bulk_uniform
 from cpnet.tensor import ShapeError
 
@@ -472,6 +473,22 @@ def test_dataset_rejects_image_label_shape_mismatch(tmp_path):
     write_cpt(os.path.join(path, "00000.lbl.cpt"), np.zeros(16 * 16, dtype=np.int32))
     with pytest.raises(FormatError, match="00000"):
         load_dataset(path)
+
+
+def test_dataset_reads_uint8_labels_as_int32_and_keeps_a_float64_image(tmp_path):
+    cfg = TrainConfig(scene_size=16, min_shape=4, max_shape=8)
+    scene = gen_synthetic_scene(3, cfg)
+    path = str(tmp_path / "data")
+    save_dataset(path, [scene])
+    labels = scene.labels.labels.copy()
+    labels[0, 0] = IGNORE_INDEX
+    write_cpt(os.path.join(path, "00000.lbl.cpt"), labels.astype(np.uint8))
+    write_cpt(os.path.join(path, "00000.img.cpt"), scene.image.astype(np.float64))
+    (back,) = load_dataset(path)
+    assert back.labels.labels.dtype == np.int32
+    assert np.array_equal(back.labels.labels, labels)
+    assert back.image.dtype == np.float64
+    assert np.array_equal(back.image, scene.image)
 
 
 @pytest.mark.parametrize("entry", ["00000 seed=abc", "00000 seed", "00000 key=1",

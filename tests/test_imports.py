@@ -13,7 +13,9 @@ attribute by some module other than ``config.py``: a field nothing reads
 is a setting that changes nothing.  Likewise each defaulted parameter of a
 function or class in the package must be passed by some call of that name
 in the package, ``scripts/`` or ``perfbench/``: a default no caller
-overrides is a constant with extra steps.
+overrides is a constant with extra steps.  Only the scene builders
+(``data.py`` and ``fileio.py``) build a ``LabelMap``: past the scene record,
+labels are plain arrays.
 """
 
 import ast
@@ -31,6 +33,7 @@ CALLERS = sorted([*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "scripts").glob(
                   *(PACKAGE.parents[1] / "perfbench").glob("*.py")])
 # the tests drive the CLI through this parameter
 UNSET_BY_DESIGN = {"cli.py:entry.argv"}
+SCENE_BUILDERS = {"data.py", "fileio.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -204,3 +207,25 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     defined = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = [p.read_text() for p in CALLERS]
     assert sorted(set(unset_parameters(defined, callers)) - UNSET_BY_DESIGN) == []
+
+
+def label_map_calls(source: str) -> list[int]:
+    """Line numbers of the calls of ``LabelMap``, by bare name or as an attribute."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and "LabelMap" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    )
+
+
+def test_guard_flags_a_label_map_built_outside_the_scene_builders():
+    src = ("from . import labelmap\nfrom .labelmap import LabelMap\n"
+           "a = LabelMap(x)\nb = labelmap.LabelMap(y)\nc = LabelMap\nd = f(LabelMap)\n")
+    assert label_map_calls(src) == [3, 4]
+
+
+def test_only_the_scene_builders_build_a_label_map():
+    calls = {p.name: label_map_calls(p.read_text()) for p in PACKAGE.glob("*.py")
+             if p.name not in SCENE_BUILDERS}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
