@@ -144,7 +144,7 @@ def _cmd_dump_prior(args) -> int:
     from .config import ConfigError
     from .train import dump_prior, load_model, val_scene
 
-    if not 0 <= args.scene < 1 << 64:  # the stream's index is 64-bit: others alias
+    if not 0 <= args.scene < 1 << 64:  # the stream index derive() takes, checked before any I/O
         raise ConfigError(f"--scene: {args.scene} is outside [0, 2**64)")
     model, cfg, _step = load_model(args.ckpt)
     paths = dump_prior(model, val_scene(cfg, args.scene), args.out)

@@ -157,24 +157,31 @@ def resize_labels(lab: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def augment(scene: SyntheticScene, rng: Rng, cfg: TrainConfig) -> SyntheticScene:
     """Random flip (``cfg.flip_prob``), scale (one of ``cfg.aug_scales``) and
-    ``cfg.crop`` crop, drawn from ``rng`` in that order; only the crop window
-    of the resized image is clipped.  A scene smaller than the crop sits
-    top-left on zeros and ignore labels (mixed per axis too)."""
+    ``cfg.crop`` crop, drawn from ``rng`` in that order.  The crop offset
+    comes from the scaled size, so only the crop window is resized: its rows
+    of the two bilinear matrices and of the nearest-neighbour indices.  A
+    scene smaller than the crop sits top-left on zeros and ignore labels
+    (mixed per axis too)."""
     img, lab = scene.image, scene.labels.labels
     if rng.uniform() < cfg.flip_prob:
         img, lab = img[:, :, ::-1], lab[:, ::-1]
     factor = cfg.aug_scales[rng.randint(len(cfg.aug_scales))]
-    if factor != 1.0:
-        h, w = (max(int(round(size * factor)), 1) for size in lab.shape)
-        img, lab = resize_image(img, h, w), resize_labels(lab, h, w)
-    h, w = lab.shape
-    y0 = rng.randint(h - cfg.crop + 1) if h > cfg.crop else 0
-    x0 = rng.randint(w - cfg.crop + 1) if w > cfg.crop else 0
-    ch, cw = min(h, cfg.crop), min(w, cfg.crop)
-    out_img = np.zeros((3, cfg.crop, cfg.crop), dtype=np.float32)
-    out_lab = np.full((cfg.crop, cfg.crop), IGNORE_INDEX, dtype=np.int32)
-    np.clip(img[:, y0:y0 + ch, x0:x0 + cw], 0.0, 1.0, out=out_img[:, :ch, :cw])
-    out_lab[:ch, :cw] = lab[y0:y0 + ch, x0:x0 + cw]
+    (h0, w0), crop = lab.shape, cfg.crop
+    h, w = (h0, w0) if factor == 1.0 else (max(int(round(size * factor)), 1) for size in (h0, w0))
+    y0 = rng.randint(h - crop + 1) if h > crop else 0
+    x0 = rng.randint(w - crop + 1) if w > crop else 0
+    rows, cols = slice(y0, y0 + min(h, crop)), slice(x0, x0 + min(w, crop))
+    if factor == 1.0:
+        img, lab = img[:, rows, cols], lab[rows, cols]
+    else:
+        wr, wc = bilinear_matrix(h0, h)[rows], bilinear_matrix(w0, w)[cols]
+        img = np.matmul(np.matmul(wr, img.astype(np.float64)), wc.T)
+        lab = lab.take(nearest_index(h0, h)[rows], axis=0).take(nearest_index(w0, w)[cols], axis=1)
+    out_img = np.zeros((3, crop, crop), dtype=np.float32)
+    out_lab = np.full((crop, crop), IGNORE_INDEX, dtype=np.int32)
+    ch, cw = lab.shape
+    np.clip(img, 0.0, 1.0, out=out_img[:, :ch, :cw])
+    out_lab[:ch, :cw] = lab
     return SyntheticScene(out_img, LabelMap(out_lab), scene.seed)
 
 

@@ -19,9 +19,9 @@ generators so that fixtures and golden files are portable across machines:
   1-D array of seeds, giving one row per seed equal to that seed's call.
 
 Floats are derived as ``(u64 >> 11) * 2**-53`` (uniform in [0, 1)), and
-``bulk_normal`` turns counter-mode uniforms into normals by the Box-Muller
-transform, so the byte-level output of the generators fixes every
-downstream value.
+``bulk_normal`` turns counter-mode uniforms into float32 normals by the
+Box-Muller transform (``1 - u`` in float64, the rest in float32), so the
+byte-level output of the generators fixes every downstream value.
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ def _splitmix64_at(seed: int, k: int) -> int:
 
 
 def derive(seed: int, tag: int) -> int:
-    """Derive an independent child seed from (seed, tag)."""
-    return mix64((seed ^ mix64((tag ^ _GOLDEN) & _MASK)) & _MASK)
+    """Derive an independent child seed from (seed, tag), both in [0, 2**64)."""
+    if not (0 <= seed <= _MASK and 0 <= tag <= _MASK):
+        raise ValueError(f"seed and tag must lie in [0, 2**64), got {seed} and {tag}")
+    return mix64(seed ^ mix64(tag ^ _GOLDEN))
 
 
 def _rotl(x: int, k: int) -> int:
@@ -135,17 +137,17 @@ def bulk_uniform(seed: int, shape) -> np.ndarray:
 
 
 def bulk_normal(seed, shape) -> np.ndarray:
-    """Array of standard normals via Box-Muller on counter-mode uniforms;
-    seeds as in ``bulk_u64``.  Works in place on the uniforms' buffer."""
+    """Array of float32 standard normals via Box-Muller on counter-mode
+    uniforms; seeds as in ``bulk_u64``.  ``1 - u1`` is taken in float64 before
+    the cast, since a ``u1`` within 2**-25 of 1 rounds to 1 in float32."""
     n = int(np.prod(shape)) if shape else 1
     m = (n + 1) // 2
     u = bulk_u64(seed, 2 * m) >> np.uint64(11)
     u = np.multiply(u, _INV_2_53, out=u.view(np.float64))
-    r, ang = u[..., :m], u[..., m:]  # r = sqrt(-2 log(1 - u1)), ang = 2 pi u2
-    np.log(np.subtract(1.0, r, out=r), out=r)
-    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
-    ang *= 2.0 * np.pi
-    cos = np.cos(ang)
-    np.multiply(np.sin(ang, out=ang), r, out=ang)  # the sine terms follow the cosine terms
-    r *= cos
-    return u[..., :n].reshape(np.shape(seed) + tuple(shape))
+    r = np.subtract(1.0, u[..., :m], out=u[..., :m]).astype(np.float32)
+    ang = u[..., m:].astype(np.float32) * np.float32(2.0 * np.pi)
+    np.sqrt(np.multiply(np.log(r, out=r), np.float32(-2.0), out=r), out=r)  # sqrt(-2 log(1 - u1))
+    out = np.empty(u.shape, dtype=np.float32)  # the sine terms follow the cosine terms
+    np.multiply(np.cos(ang), r, out=out[..., :m])
+    np.multiply(np.sin(ang, out=ang), r, out=out[..., m:])
+    return out[..., :n].reshape(np.shape(seed) + tuple(shape))

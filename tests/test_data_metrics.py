@@ -18,6 +18,7 @@ from cpnet.data import (
     gen_synthetic_scenes,
     labels_to_rgb,
     nearest_index,
+    resize_image,
     resize_labels,
 )
 from cpnet.config import TrainConfig
@@ -220,6 +221,28 @@ def test_pad_fills_with_ignore_and_zeros():
     assert np.array_equal(out.image[:, :8, :8], small.image)
 
 
+@pytest.mark.parametrize("scene_size", [32, 64])
+@pytest.mark.parametrize("factor", TrainConfig().aug_scales)
+def test_crop_window_rescale_equals_resize_then_crop(factor, scene_size):
+    # augment resizes only its crop window; its GEMMs round differently from
+    # resizing the whole scene (at scene 64, crop 32 about half the crops
+    # move in their last bits), so labels must match exactly, images to 1e-6
+    cfg = TrainConfig(flip_prob=0.0, aug_scales=(factor,), scene_size=scene_size)
+    side, crop = max(int(round(scene_size * factor)), 1), cfg.crop
+    for seed in range(4):
+        sc = gen_synthetic_scene(seed, cfg)
+        probe = Rng(seed)
+        probe.uniform(), probe.randint(1)  # the flip and scale draws come first
+        y0, x0 = (probe.randint(side - crop + 1) if side > crop else 0 for _ in "yx")
+        win = np.s_[y0:y0 + min(side, crop), x0:x0 + min(side, crop)]
+        want_img = np.clip(resize_image(sc.image, side, side)[(slice(None),) + win], 0, 1)
+        want_lab = resize_labels(sc.labels.labels, side, side)[win]
+        out = augment(sc, Rng(seed), cfg)
+        ch, cw = want_lab.shape
+        assert np.array_equal(out.labels.labels[:ch, :cw], want_lab)
+        assert np.allclose(out.image[:, :ch, :cw], want_img, rtol=0, atol=1e-6)
+
+
 def test_augment_shrink_path_pads_with_ignore():
     sc = gen_synthetic_scene(18, TrainConfig())
     cfg = TrainConfig(flip_prob=0.0, aug_scales=(0.5,), crop=32)
@@ -235,13 +258,15 @@ def test_augment_shrink_path_pads_with_ignore():
 # ---------------------------------------------------------------------------
 
 # sha256 of the first stock training batch (as train() builds it), of the
-# augmentation RNG's state words after it, and of validation scene 0.
-# Recorded with the per-scene generator and the copy-based augmentation
-# that the batched generator and crop-direct augmentation replaced.
-STOCK_BATCH_IMAGE_SHA = "d69cee68ba30071db9aa50b835462fc9dba220aa1f7050dd19d9f862ae98a1b6"
+# augmentation RNG's state words after it, and of validation scene 0.  The
+# label and RNG-state digests were recorded with the per-scene generator and
+# the copy-based augmentation that the batched generator and crop-direct
+# augmentation replaced; the image digests with float32 Box-Muller noise and
+# the crop-window rescale, which move images in their last bits.
+STOCK_BATCH_IMAGE_SHA = "e98b9bdc3bc01fa40538a94cc18ca266cc326d2da0abe6b6a99d9cb31e5b6dfc"
 STOCK_BATCH_LABEL_SHA = "b5b8d4271d86527ee5b3c727987f510e3d9986dc9854a1bc718123e3ee0f76cf"
 STOCK_AUG_STATE_SHA = "c48f06c4e8de135f375a51162ef18995f8fff27b437961a32a623dd8ef0ff29b"
-VAL0_IMAGE_SHA = "ff1868a038a9b37e17e775570bd74ab91521103f2044fb7d1c95f2820d08c81c"
+VAL0_IMAGE_SHA = "8e1ebfe4cfd4e72ac6b73d949dd0fe2b0c8a2afc310b6b767f7e4dd767d733c0"
 VAL0_LABEL_SHA = "d994fbcdbfc2bf3948cca455c3af37f63dddb7feec956f2318160cd9b0f2eecc"
 
 
@@ -250,10 +275,10 @@ VAL0_LABEL_SHA = "d994fbcdbfc2bf3948cca455c3af37f63dddb7feec956f2318160cd9b0f2ee
 # scene and augmentation configs that TrainConfig replaced.
 GRID16_OVERRIDES = dict(crop=128, scene_size=128, batch_size=4, min_shape=48, max_shape=96)
 GRID16_SHAS = (
-    "53ca4ace060875e3f9a20c3f102a5a4484f93cf7ec77cea04e3200a5205e8b7a",
+    "8f68615a510a01530c903b1f15c79bb2d8afec0efceba26cb0d96b7782ba334a",
     "d7892f59468e2ce7630238d935e127d34d9db8260d9aecd536a0dba90ae6404e",
     "0a8eac0dce0f5d6bddcdb9176da599d4686cf6ce9f138f0c333a2b771b9bc976",
-    "e3106faba6e4a57a2e1ff46d8f1d3cca54d0d38f8f346eddc595f75726d05c6d",
+    "56d8d2e3e01b08094f1770003f86f41acc9a510a53843545b86e9da8d9d17836",
     "959ed657cc9cb0434fb4faff07c083c10326f6eb5a13e93298ad8bdb34773013",
 )
 
@@ -289,6 +314,11 @@ def test_stock_data_stream_is_pinned():
 
 def test_crop128_data_stream_is_pinned():
     assert _stream_shas(TrainConfig(**GRID16_OVERRIDES)) == GRID16_SHAS
+
+
+def test_val_scene_rejects_an_index_outside_64_bits():
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        val_scene(TrainConfig(), -1)
 
 
 # ---------------------------------------------------------------------------

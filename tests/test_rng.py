@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cpnet import rng
 from cpnet.rng import (
     Rng,
     _splitmix64_at,
@@ -68,6 +69,13 @@ def test_derive_is_injective_in_the_tag(seed, tag_a, tag_b):
     # yield distinct child seeds; no birthday-bound hedging needed.
     if tag_a != tag_b:
         assert derive(seed, tag_a) != derive(seed, tag_b)
+
+
+@pytest.mark.parametrize("seed, tag", [(0, -1), (0, 1 << 64), (-1, 0), (1 << 64, 0)])
+def test_derive_rejects_words_outside_64_bits(seed, tag):
+    # read modulo 2**64, -1 would alias 2**64 - 1 and 2**64 would alias 0
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        derive(seed, tag)
 
 
 def test_derive_children_produce_unrelated_streams():
@@ -143,6 +151,15 @@ def test_bulk_normal_moments():
     z = bulk_normal(7, (200_000,))
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+def test_bulk_normal_is_float32_and_finite_next_to_one(monkeypatch):
+    # all-ones words give u = 1 - 2**-53, which rounds to 1.0 in float32: the
+    # 1 - u of Box-Muller must be taken in float64 or log(0) gives -inf
+    monkeypatch.setattr(rng, "bulk_u64", lambda seed, n: np.full(n, 2**64 - 1, dtype=np.uint64))
+    z = bulk_normal(0, (6,))
+    assert z.dtype == np.float32
+    assert np.isfinite(z).all()
 
 
 def test_bulk_normal_odd_length_truncates_last_pair():
