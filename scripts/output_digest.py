@@ -13,9 +13,11 @@ written by:
 - ``cpnet gen-data --count 3`` on the stock config;
 - ``cpnet dump-prior --scene 3`` on the stock run's final checkpoint;
 
-then the relative error of every ``gradcheck.CHECKS`` entry.  Running it
-on two checkouts and diffing the two outputs shows whether a change moved
-any output byte or any gradient check.  Takes several seconds on one core.
+then the result line of ``cpnet eval`` of that checkpoint on the
+``gen-data`` scenes at the config's defaults, and the relative error of
+every ``gradcheck.CHECKS`` entry.  Running it on two checkouts and
+diffing the two outputs shows whether a change moved any output byte, the
+evaluation or any gradient check.  Takes several seconds on one core.
 """
 
 import contextlib
@@ -40,11 +42,15 @@ CROP128 = TrainConfig(seed=9, total_iterations=6, crop=128, scene_size=128, batc
                       checkpoint_every=3)
 
 
-def _cli(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):  # its messages name the temp dir
+def _cli(*argv: str) -> str:
+    """Run one command; returns its output, which callers print only where
+    it does not name the temporary directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = entry(list(argv))
     if code != 0:
         raise SystemExit(f"cpnet {' '.join(argv)} exited {code}")
+    return out.getvalue()
 
 
 def _digests(root: str) -> list[str]:
@@ -66,12 +72,14 @@ def main() -> int:
         config = os.path.join(root, "stock.cfg")
         with open(config, "w", encoding="utf-8") as f:
             f.write(serialize_config(TrainConfig()))
-        _cli("gen-data", "--config", config, "--out", os.path.join(root, "data"),
-             "--count", "3")
-        _cli("dump-prior", "--ckpt", os.path.join(stock, "ckpt_final"), "--scene", "3",
-             "--out", os.path.join(root, "prior"))
+        data = os.path.join(root, "data")
+        _cli("gen-data", "--config", config, "--out", data, "--count", "3")
+        ckpt = os.path.join(stock, "ckpt_final")
+        _cli("dump-prior", "--ckpt", ckpt, "--scene", "3", "--out", os.path.join(root, "prior"))
+        evaluated = _cli("eval", "--ckpt", ckpt, "--data", data).splitlines()[-1]
         for line in _digests(root):
             print(line)
+        print(f"eval {evaluated}")
     for name in sorted(CHECKS):
         print(f"gradcheck {name} rel err {CHECKS[name]()!r}")
     return 0

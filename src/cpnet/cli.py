@@ -42,7 +42,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--scales", default=None,
                    help="comma-separated scale factors (default: config eval_scales)")
-    p.add_argument("--flip", action="store_true", help="average flipped passes too")
+    p.add_argument("--flip", default=None,
+                   help="true or false: average flipped passes too (default: config eval_flip)")
 
     p = sub.add_parser("grad-check", help="compare tape gradients to finite differences")
     p.add_argument("--op", default=None, help="check a single named operation")
@@ -108,11 +109,11 @@ def _cmd_eval(args) -> int:
         raise FormatError(f"{args.data}: no labelled pixel to evaluate")
     if args.scales is not None:
         cfg = _override(cfg, "eval_scales", args.scales, "--scales")
-    scales = cfg.eval_scales
-    flip = args.flip or cfg.eval_flip
-    pa, miou = evaluate(model, scenes, cfg.crop, scales, flip)
-    print(f"scenes {len(scenes)} scales {','.join(str(s) for s in scales)} "
-          f"flip {'on' if flip else 'off'}")
+    if args.flip is not None:
+        cfg = _override(cfg, "eval_flip", args.flip, "--flip")
+    pa, miou = evaluate(model, scenes, cfg.crop, cfg.eval_scales, cfg.eval_flip)
+    print(f"scenes {len(scenes)} scales {','.join(str(s) for s in cfg.eval_scales)} "
+          f"flip {'on' if cfg.eval_flip else 'off'}")
     print(f"pixAcc {pa:.4f} mIoU {miou:.4f}")
     return 0
 

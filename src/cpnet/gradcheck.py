@@ -351,18 +351,15 @@ def full_model_check(progress: Callable[[str], None] | None = None) -> float:
         logits, aux, prior, a = cpnet_forward(model, image, labels)
         return total_loss(logits, aux, prior, a, labels, cfg).total.item()
 
-    params = model.parameters()
-    for param in params:
-        param.zero_grad()
     with Graph() as g:
         logits, aux, prior, a = cpnet_forward(model, image, labels)
         terms = total_loss(logits, aux, prior, a, labels, cfg)
-    g.backward(terms.total)
+    grads = g.backward(terms.total)
 
     worst = 0.0
-    for param in params:
+    for param in model.parameters():
         fd = _central_differences(param.value.data.reshape(-1), loss_value, H_STEP)
-        err = rel_err(param.grad.data.reshape(-1), fd)
+        err = rel_err(grads[param].reshape(-1), fd)
         worst = max(worst, err)
         if progress is not None:
             progress(f"{param.name}: rel err {err:.3g}")

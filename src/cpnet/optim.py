@@ -19,25 +19,28 @@ class SgdMomentum:
 
     Weight decay is added to the gradient before the momentum update
     (classic formulation); parameters constructed with decay=False
-    (BN scales and shifts) skip the decay term.
+    (BN scales and shifts) skip the decay term.  ``step(grads, lr)`` updates
+    the parameters given here; one that ``grads`` (``Graph.backward``'s
+    result or a dict by parameter) holds nothing for takes a zero gradient.
     """
 
     def __init__(self, params: list[Parameter], momentum: float = 0.9,
                  weight_decay: float = 1e-4):
+        self.params = list(params)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.velocity = {p.name: np.zeros_like(p.value.data) for p in params}
+        self.velocity = {p.name: np.zeros_like(p.value.data) for p in self.params}
         self.step_count = 0
 
-    def step(self, params: list[Parameter], lr: float) -> None:
-        for p in params:
+    def step(self, grads, lr: float) -> None:
+        for p in self.params:
             v = self.velocity[p.name]
             if v.shape != p.value.shape:
                 raise ShapeError(
                     f"velocity shape {v.shape} does not match parameter "
                     f"{p.name} shape {p.value.shape}"
                 )
-            g = p.grad.data
+            g = grads.get(p, 0.0)
             if self.weight_decay and p.decay:
                 g = g + self.weight_decay * p.value.data
             v *= self.momentum

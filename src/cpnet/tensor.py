@@ -20,12 +20,11 @@ recorded input must not be mutated before ``backward``.  Gradients are
 routed by key: every tensor draws a process-unique key at creation, so a
 freed tensor's key is never reused.
 
-Gradient accumulation contract: ``Graph.backward`` adds into each reachable
-:class:`Parameter`'s ``.grad`` exactly once per call; calling it twice
-without zeroing doubles the gradients.  The sweep frees each intermediate
-gradient once its node has consumed it, so the :class:`Gradients` it
-returns hold leaf tensors and parameters only; asking for an op's output
-raises KeyError.
+Gradients live only in the :class:`Gradients` that ``Graph.backward``
+returns; nothing accumulates across calls, so a second ``backward`` on the
+same tape returns equal gradients.  The sweep frees each intermediate
+gradient once its node has consumed it, so those gradients are the leaf
+tensors' and parameters' only; asking for an op's output raises KeyError.
 """
 
 from __future__ import annotations
@@ -102,18 +101,14 @@ def full(shape, value, dtype="float32") -> Tensor:
 
 
 class Parameter:
-    """A named trainable tensor paired with an accumulating gradient."""
+    """A named trainable tensor; its gradient is ``Graph.backward(loss)[param]``."""
 
-    __slots__ = ("name", "value", "grad", "decay")
+    __slots__ = ("name", "value", "decay")
 
     def __init__(self, name: str, value, decay: bool = True):
         self.name = name
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad = Tensor(np.zeros_like(self.value.data))
         self.decay = decay  # False exempts from weight decay (BN scale/shift)
-
-    def zero_grad(self) -> None:
-        self.grad.data[...] = 0
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -151,7 +146,6 @@ class Graph:
     def __init__(self):
         # ((input key, input shape), ...), output key, backward fn
         self.nodes: list[tuple] = []
-        self._params: dict[int, Parameter] = {}  # by the key of .value
 
     def __enter__(self) -> "Graph":
         _GRAPHS.append(self)
@@ -162,7 +156,7 @@ class Graph:
         assert popped is self
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Reverse sweep from a scalar loss; accumulates into Parameter.grad.
+        """Reverse sweep from a scalar loss; returns the gradients of its leaves.
 
         Each output gradient is dropped as soon as its node has consumed it,
         so the returned Gradients hold the leaves (parameters included) only.
@@ -186,18 +180,11 @@ class Graph:
                     )
                 acc = grads.get(key)
                 grads[key] = gi if acc is None else acc + gi
-        for key, p in self._params.items():
-            g = grads.get(key)
-            if g is not None:
-                p.grad.data += g
         return Gradients(grads)
 
 
 def _unwrap(x) -> Tensor:
     if isinstance(x, Parameter):
-        g = active_graph()
-        if g is not None:
-            g._params[x.value.key] = x
         return x.value
     if isinstance(x, Tensor):
         return x

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .affinity import affinity_image, downsample_labels, ideal_affinity_map
+from .affinity import affinity_image
 from .config import TrainConfig, parse_config, serialize_config
 from .data import (
     ConfusionMatrix,
@@ -26,7 +26,7 @@ from .data import (
     resize_labels,
 )
 from .fileio import FormatError, load_checkpoint, save_checkpoint, write_pgm, write_ppm
-from .network import CPNet, cpnet_forward, total_loss
+from .network import CPNet, affinity_targets, cpnet_forward, total_loss
 from .optim import SgdMomentum, poly_lr
 from .rng import Rng, derive
 from .tensor import NumericError
@@ -83,6 +83,8 @@ def load_model(path: str) -> tuple[CPNet, TrainConfig, int]:
         src = tensors[name]
         if src.shape != dst.shape:
             raise FormatError(f"{name}: checkpoint {src.shape} vs model {dst.shape}")
+        if src.dtype != dst.dtype:
+            raise FormatError(f"{name}: checkpoint {src.dtype} vs model {dst.dtype}")
         dst[...] = src
     return model, cfg, step
 
@@ -191,8 +193,8 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
-    params = model.parameters()
-    opt = SgdMomentum(params, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SgdMomentum(model.parameters(), momentum=cfg.momentum,
+                      weight_decay=cfg.weight_decay)
     aug_rng = Rng(derive(cfg.seed, TAG_AUG))
     scene_base = derive(cfg.seed, TAG_TRAIN_SCENES)
     vset = val_scenes(cfg)
@@ -212,8 +214,6 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
         image = T.Tensor(np.stack([b.image for b in batch]))
         labels = np.stack([b.labels.labels for b in batch])
 
-        for p in params:
-            p.zero_grad()
         with T.Graph() as g:  # the loss alone outlives the forward's outputs
             terms = total_loss(*cpnet_forward(model, image, labels), labels, cfg)
         total = terms.total.item()
@@ -222,9 +222,8 @@ def train(cfg: TrainConfig, out_dir: str, progress=None) -> dict:
                 f"non-finite loss {total} at step {step}; batch scene seeds: "
                 + ", ".join(str(s) for s in seeds)
             )
-        g.backward(terms.total)
         lr = poly_lr(it, cfg.total_iterations, cfg.base_lr, cfg.poly_power)
-        opt.step(params, lr)
+        opt.step(g.backward(terms.total), lr)
         losses = (terms.seg.item(), terms.aux.item(), terms.prior_unary, terms.prior_global,
                   total)
         # nothing reads the tape or the batch past the update: free them
@@ -301,8 +300,8 @@ def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
         pm = q.data[0].T.astype(np.float64)
         emit("prior.pgm", write_pgm, np.round(pm * 255).astype(np.uint8))
         emit("prior_inv.pgm", write_pgm, np.round((1 - pm) * 255).astype(np.uint8))
-    small = downsample_labels(lab, model.feat_hw, model.feat_hw)
-    emit("affinity.pgm", write_pgm, affinity_image(ideal_affinity_map(small, model.num_classes)))
+    target = affinity_targets(lab[None], model.num_classes, model.feat_hw)
+    emit("affinity.pgm", write_pgm, affinity_image(target)[0])
     emit("input.ppm", write_ppm,
          np.round(img.transpose(1, 2, 0) * 255).astype(np.uint8))
     emit("pred.ppm", write_ppm, labels_to_rgb(_softmax(logits.data[0]).argmax(axis=0)))

@@ -296,9 +296,7 @@ def test_criterion_8_schedule_and_update_rule():
         v, ref = 0.0, theta
         for s, g in enumerate(grads):
             lr = poly_lr(s, steps, gamma0, power)
-            p.grad.data[:] = g
-            opt.step([p], lr=lr)
-            p.zero_grad()
+            opt.step({p: np.array([g])}, lr=lr)
             v = m * v + (g + wd * ref)
             ref = ref - lr * v
         worst = max(worst, abs(p.value.data[0] - ref) / max(abs(ref), 1e-12))

@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cpnet import _threads
 from cpnet.cli import entry
 from cpnet.config import serialize_config
 from cpnet.data import gen_synthetic_scene
-from cpnet.fileio import load_dataset, write_cpt
+from cpnet.fileio import load_checkpoint, load_dataset, save_checkpoint, write_cpt
 from cpnet.labelmap import IGNORE_INDEX
 from cpnet.rng import derive
 from cpnet.train import TAG_VAL_SCENES
@@ -95,12 +96,36 @@ def test_eval_uses_config_defaults(cli_run, capsys):
     assert "pixAcc" in out and "mIoU" in out
 
 
-def test_eval_flag_overrides(cli_run, capsys):
+def test_eval_flag_overrides(cli_run, capsys, tmp_path):
     rc = entry(["eval", "--ckpt", cli_run["ckpt"], "--data", cli_run["data"],
-                "--scales", "1.0,1.5", "--flip"])
+                "--scales", "1.0,1.5", "--flip", "true"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "scales 1.0,1.5 flip on" in out
+    # a checkpoint whose config turns flipping on can still evaluate without it
+    ckpt = str(tmp_path / "ckpt")
+    tensors, step, rng_state, _text = load_checkpoint(cli_run["ckpt"])
+    save_checkpoint(ckpt, tensors, step, rng_state,
+                    serialize_config(replace(cli_run["cfg"], eval_flip=True)))
+    assert entry(["eval", "--ckpt", ckpt, "--data", cli_run["data"]]) == 0
+    assert "flip on" in capsys.readouterr().out
+    assert entry(["eval", "--ckpt", ckpt, "--data", cli_run["data"], "--flip", "false"]) == 0
+    assert "flip off" in capsys.readouterr().out
+    assert entry(["eval", "--ckpt", ckpt, "--data", cli_run["data"], "--flip", "maybe"]) == 1
+    assert "--flip" in capsys.readouterr().err
+
+
+def test_checkpoint_tensor_of_another_dtype_exits_3(cli_run, capsys, tmp_path):
+    # manifest and blob agree on int32, but the model's weight is float32
+    ckpt = str(tmp_path / "ckpt")
+    tensors, step, rng_state, text = load_checkpoint(cli_run["ckpt"])
+    w = tensors["seg_head.weight"]
+    tensors["seg_head.weight"] = np.arange(w.size, dtype=np.int32).reshape(w.shape) + 101
+    save_checkpoint(ckpt, tensors, step, rng_state, text)
+    assert entry(["eval", "--ckpt", ckpt, "--data", cli_run["data"]]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err
+    assert "seg_head.weight" in err and "int32" in err and "float32" in err
 
 
 def test_grad_check_single_op(capsys):

@@ -236,14 +236,32 @@ def test_loss_sees_every_parameter():
     model = small_model()
     img = rnd_image(16, 2, 16)
     gts = rnd_labels(17, 2, 16)
-    for p in model.parameters():
-        p.zero_grad()
     with Graph() as g:
         logits, aux, p, a = cpnet_forward(model, img, gts)
         terms = total_loss(logits, aux, p, a, gts, TrainConfig())
-    g.backward(terms.total)
-    silent = [q.name for q in model.parameters() if not q.grad.data.any()]
+    grads = g.backward(terms.total)
+    silent = [q.name for q in model.parameters() if not grads.get(q, np.zeros(1)).any()]
     assert silent == []
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(crop=128, scene_size=128, batch_size=4, min_shape=48, max_shape=96),
+    dict(use_context_prior=False),
+], ids=["stock", "crop128", "plain"])
+def test_backward_returns_each_parameter_its_gradient_in_its_shape_and_dtype(overrides):
+    # the optimizer adds these into its velocities as they come, so none
+    # may reach it in another shape or dtype than its parameter's
+    cfg = TrainConfig(**overrides)
+    model = build_model(cfg)
+    img = rnd_image(20, cfg.batch_size, cfg.crop)
+    gts = rnd_labels(21, cfg.batch_size, cfg.crop, cfg.num_classes)
+    with Graph() as g:
+        terms = total_loss(*cpnet_forward(model, img, gts), gts, cfg)
+    grads = g.backward(terms.total)
+    for q in model.parameters():
+        assert q in grads, q.name
+        assert (grads[q].shape, grads[q].dtype) == (q.value.shape, q.value.data.dtype), q.name
 
 
 def test_single_step_decreases_the_loss_in_at_least_95_of_100_trials():
@@ -255,13 +273,10 @@ def test_single_step_decreases_the_loss_in_at_least_95_of_100_trials():
         gts = rnd_labels(2000 + trial, 2, 16)
         params = model.parameters()
         opt = SgdMomentum(params, momentum=0.9, weight_decay=0.0)
-        for p in params:
-            p.zero_grad()
         with Graph() as g:
             logits, aux, pr, a = cpnet_forward(model, img, gts)
             before = total_loss(logits, aux, pr, a, gts, TrainConfig())
-        g.backward(before.total)
-        opt.step(params, lr=1e-4)
+        opt.step(g.backward(before.total), lr=1e-4)
         logits, aux, pr, a = cpnet_forward(model, img, gts)
         after = total_loss(logits, aux, pr, a, gts, TrainConfig())
         if after.total.item() < before.total.item():
