@@ -14,10 +14,11 @@ written by:
 - ``cpnet dump-prior --scene 3`` on the stock run's final checkpoint;
 
 then the result line of ``cpnet eval`` of that checkpoint on the
-``gen-data`` scenes at the config's defaults, and the relative error of
-every ``gradcheck.CHECKS`` entry.  Running it on two checkouts and
-diffing the two outputs shows whether a change moved any output byte, the
-evaluation or any gradient check.  Takes several seconds on one core.
+``gen-data`` scenes at the config's defaults, the relative error of
+every ``gradcheck.CHECKS`` entry and that of ``gradcheck.full_model_check``.
+Running it on two checkouts and diffing the two outputs shows whether a
+change moved any output byte, the evaluation or any gradient check.  Takes
+about ten seconds on one core.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from cpnet.cli import entry  # noqa: E402
 from cpnet.config import TrainConfig, serialize_config  # noqa: E402
-from cpnet.gradcheck import CHECKS  # noqa: E402
+from cpnet.gradcheck import CHECKS, full_model_check  # noqa: E402
 from cpnet.train import train  # noqa: E402
 
 STOCK = TrainConfig(seed=7, total_iterations=60, val_scenes=8, eval_every=20,
@@ -82,6 +83,7 @@ def main() -> int:
         print(f"eval {evaluated}")
     for name in sorted(CHECKS):
         print(f"gradcheck {name} rel err {CHECKS[name]()!r}")
+    print(f"gradcheck full_model rel err {full_model_check()!r}")
     return 0
 
 

@@ -81,13 +81,14 @@ class TrainConfig:
 # the paper's benchmarks.  Unbounded, a side numpy cannot allocate would
 # pass validation and fail in scene generation.
 MAX_SIDE = 1024
+MAX_CLASSES = 8  # one colour each in data.PALETTE, which config cannot import
 
 # (fields, test, requirement) for TrainConfig.validate; NaN fails every test
 _RULES = (
     (("crop", "scene_size"), lambda v: 8 <= v <= MAX_SIDE and v % 8 == 0,
      f"a multiple of 8 in [8, {MAX_SIDE}]"),
     (("widths",), lambda v: len(v) == 5 and min(v) >= 1, "5 positive entries"),
-    (("num_classes",), lambda v: v >= 2, "at least 2"),
+    (("num_classes",), lambda v: 2 <= v <= MAX_CLASSES, f"in [2, {MAX_CLASSES}]"),
     (("k",), lambda v: v >= 1 and v % 2 == 1, "odd and positive"),
     (("c1", "batch_size", "min_shape", "val_scenes"), lambda v: v >= 1, "at least 1"),
     (("total_iterations", "shapes_per_image", "log_every", "eval_every", "checkpoint_every"),

@@ -237,11 +237,11 @@ def load_dataset(path: str):
                 f"{path}: cannot parse manifest entry {' '.join([sid, *fields])!r}") from e
         img = read_cpt(os.path.join(path, sid + ".img.cpt"))
         lab = read_cpt(os.path.join(path, sid + ".lbl.cpt"))
-        if (img.ndim != 3 or img.shape[0] != 3 or lab.shape != img.shape[1:]
+        if (img.ndim != 3 or img.shape[0] != 3 or lab.shape != img.shape[1:] or 0 in img.shape
                 or img.dtype.kind != "f" or lab.dtype.kind not in "iu"):
             raise FormatError(
                 f"{path}: scene {sid} has image {img.shape} {img.dtype} and labels "
-                f"{lab.shape} {lab.dtype}; want (3, H, W) float and (H, W) integer"
+                f"{lab.shape} {lab.dtype}; want (3, H, W) float with H, W >= 1 and (H, W) integer"
             )
         scenes[sid] = SyntheticScene(img, LabelMap(lab.astype(np.int32, copy=False)), seed)
     return list(scenes.values())

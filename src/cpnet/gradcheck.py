@@ -52,27 +52,29 @@ def _central_differences(flat: np.ndarray, loss: Callable[[], float], h: float) 
 def fd_check(build: Callable, trials: int = 20, seed: int = 0) -> float:
     """Max relative error between tape gradients and central differences.
 
-    ``build(rng) -> (arrays, f)`` where f maps one Tensor per array to a
-    scalar Tensor.  Arrays are float64 and are perturbed in place (and
-    restored) during the sweep.
+    ``build(rng) -> (leaves, f)`` where f maps the leaves, as tensors, to a
+    scalar Tensor.  A leaf is a float64 array, which is wrapped in a fresh
+    Tensor, or a Tensor (a module's Parameter, say), which is used as
+    itself.  The leaves' data are perturbed in place (and restored) during
+    the sweep, and f is evaluated on the same tensors each time.
     """
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng(seed * 1000 + t)
-        arrays, f = build(rng)
-        tensors = [Tensor(a) for a in arrays]
+        leaves, f = build(rng)
+        tensors = [leaf if isinstance(leaf, Tensor) else Tensor(leaf) for leaf in leaves]
         with Graph() as g:
             loss = f(*tensors)
         grads = g.backward(loss)
 
         def eval_loss():
-            return f(*[Tensor(a) for a in arrays]).item()
+            return f(*tensors).item()
 
-        for tk, arr in zip(tensors, arrays):
+        for tk in tensors:
             analytic = grads.get(tk)
             if analytic is None:
-                analytic = np.zeros_like(arr)
-            fd = _central_differences(arr.reshape(-1), eval_loss, H_STEP)
+                analytic = np.zeros_like(tk.data)
+            fd = _central_differences(tk.data.reshape(-1), eval_loss, H_STEP)
             worst = max(worst, rel_err(np.asarray(analytic).reshape(-1), fd))
     return worst
 
@@ -273,16 +275,8 @@ def _bld_aggregation(rng):
     module = AggregationModule("agg", 3, 4, k=3, seed=int(rng.integers(1 << 30)),
                                dtype="float64")
     x = rng.normal(size=(2, 3, 4, 4))
-    params = module.parameters()
-    arrays = [x] + [p.value.data for p in params]
     ws = _cotangent(rng, (2, 4, 4, 4))
-
-    def f(tx, *tps):
-        for p, tp in zip(params, tps):
-            p.value = tp
-        return ws(module(tx, "train"))
-
-    return arrays, f
+    return [x, *module.parameters()], lambda tx, *_params: ws(module(tx, "train"))
 
 
 def _bld_context_prior(rng):
@@ -293,12 +287,8 @@ def _bld_context_prior(rng):
     x = rng.normal(size=(2, 3, 2, 2))
     labels = rng.integers(0, 3, size=(2, 2, 2)).astype(np.int32)
     target = ideal_affinity_map(labels, 3)
-    params = layer.parameters()
-    arrays = [x, head] + [p.value.data for p in params]
 
-    def f(tx, thead, *tps):
-        for p, tp in zip(params, tps):
-            p.value = tp
+    def f(tx, thead, *_params):
         feats, prior = layer(tx, "train")
         logits = T.conv2d(feats, thead)
         ce = T.softmax_cross_entropy(logits, labels)
@@ -306,7 +296,7 @@ def _bld_context_prior(rng):
         lg, _ = global_affinity_loss(prior, target)
         return T.add(ce, T.add(lu, lg))
 
-    return arrays, f
+    return [x, head, *layer.parameters()], f
 
 
 CHECKS: dict[str, Callable[[], float]] = {
@@ -358,7 +348,7 @@ def full_model_check(progress: Callable[[str], None] | None = None) -> float:
 
     worst = 0.0
     for param in model.parameters():
-        fd = _central_differences(param.value.data.reshape(-1), loss_value, H_STEP)
+        fd = _central_differences(param.data.reshape(-1), loss_value, H_STEP)
         err = rel_err(grads[param].reshape(-1), fd)
         worst = max(worst, err)
         if progress is not None:

@@ -29,21 +29,21 @@ class SgdMomentum:
         self.params = list(params)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.velocity = {p.name: np.zeros_like(p.value.data) for p in self.params}
+        self.velocity = {p.name: np.zeros_like(p.data) for p in self.params}
         self.step_count = 0
 
     def step(self, grads, lr: float) -> None:
         for p in self.params:
             v = self.velocity[p.name]
-            if v.shape != p.value.shape:
+            if v.shape != p.shape:
                 raise ShapeError(
                     f"velocity shape {v.shape} does not match parameter "
-                    f"{p.name} shape {p.value.shape}"
+                    f"{p.name} shape {p.shape}"
                 )
             g = grads.get(p, 0.0)
             if self.weight_decay and p.decay:
-                g = g + self.weight_decay * p.value.data
+                g = g + self.weight_decay * p.data
             v *= self.momentum
             v += g
-            p.value.data -= lr * v
+            p.data -= lr * v
         self.step_count += 1

@@ -59,7 +59,7 @@ def val_scenes(cfg: TrainConfig) -> list[SyntheticScene]:
 
 
 def model_tensors(model: CPNet) -> dict[str, np.ndarray]:
-    out = {p.name: p.value.data for p in model.parameters()}
+    out = {p.name: p.data for p in model.parameters()}
     for bn in model.bn_layers():
         out[bn.state_name + ".mean"] = bn.state.running_mean
         out[bn.state_name + ".var"] = bn.state.running_var

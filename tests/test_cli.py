@@ -347,7 +347,8 @@ def _malformed_dataset(cli_run, tmp_path, part, array):
     return data
 
 
-@pytest.mark.parametrize("defect", ["label_shape", "label_class", "label_dtype", "image_dtype"])
+@pytest.mark.parametrize("defect", ["label_shape", "label_class", "label_dtype", "image_dtype",
+                                    "empty_side"])
 def test_eval_malformed_dataset_exits_3_before_evaluating(cli_run, capsys, tmp_path,
                                                           monkeypatch, defect):
     import cpnet.train
@@ -360,9 +361,13 @@ def test_eval_malformed_dataset_exits_3_before_evaluating(cli_run, capsys, tmp_p
         array[3, 5] = cli_run["cfg"].num_classes + 6
     elif defect == "label_dtype":  # would truncate to class 1
         array = np.full((size, size), 1.7, dtype=np.float32)
+    elif defect == "empty_side":  # image and labels agree, but resizing has no row to read
+        array = np.zeros((0, size), dtype=np.int32)
     else:  # 8-bit intensities, not the [0, 1] floats the model reads
         part, array = "img", np.full((3, size, size), 200, dtype=np.uint8)
     data = _malformed_dataset(cli_run, tmp_path, part, array)
+    if defect == "empty_side":
+        write_cpt(os.path.join(data, "00001.img.cpt"), np.zeros((3, 0, size), dtype=np.float32))
 
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate() ran on a malformed dataset")

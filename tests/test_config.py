@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpnet.config import (
+    MAX_CLASSES,
     MAX_SIDE,
     ConfigError,
     TrainConfig,
@@ -137,6 +138,8 @@ def test_tuple_fields_parse_comma_lists():
         # 2**64 - 1 and 0
         ("seed", -1),
         ("seed", 2 ** 64),
+        # class 8 would be drawn in the background's colour (PALETTE wraps)
+        ("num_classes", 9),
     ],
 )
 def test_validation_rejects_bad_settings(field, value):

@@ -29,7 +29,7 @@ def make_positive(module):
     BN (eval statistics) cannot erase any part of the receptive field."""
     for p in module.parameters():
         if p.name.endswith(".weight"):
-            p.value.data[...] = np.abs(p.value.data) + 0.1
+            p.data[...] = np.abs(p.data) + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +136,9 @@ def test_prior_rows_index_query_pixels():
     # of that channel read at query position q; the head returns the
     # key-major Q = P^T
     layer = ContextPriorLayer("cp", 2, 4, 4, k=3, seed=10)
-    layer.prior_conv.weight.value.data[...] = 0.0
+    layer.prior_conv.weight.data[...] = 0.0
     for key in range(4):
-        layer.prior_conv.weight.value.data[key, key % 4, 0, 0] = 1.0
+        layer.prior_conv.weight.data[key, key % 4, 0, 0] = 1.0
 
     xa = Tensor(rnd(11, (1, 4, 2, 2)))
     p = query_major(layer.prior_head(xa, mode="eval"))

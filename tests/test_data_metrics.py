@@ -21,7 +21,7 @@ from cpnet.data import (
     resize_image,
     resize_labels,
 )
-from cpnet.config import TrainConfig
+from cpnet.config import MAX_CLASSES, TrainConfig
 from cpnet.labelmap import IGNORE_INDEX, check_classes
 from cpnet.rng import Rng, derive
 from cpnet.tensor import ShapeError
@@ -99,6 +99,7 @@ def test_class_frequencies_over_1000_scenes():
 
 def test_palette_has_distinct_colors():
     assert len(np.unique(PALETTE, axis=0)) == len(PALETTE)
+    assert len(PALETTE) == MAX_CLASSES  # every class a config allows has its own colour
     assert class_color(1) is not None
     assert np.array_equal(class_color(len(PALETTE)), PALETTE[0])  # wraps around
 

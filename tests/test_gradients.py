@@ -3,7 +3,8 @@
 Closed-form gradient identities that hold exactly, with no step-size
 error to budget for.  The finite-difference harness in ``cpnet.gradcheck``
 (every registered op builder and the whole network) runs once, in
-acceptance criterion 3.
+acceptance criterion 3; the last test here checks only how ``fd_check``
+takes a builder's leaves, on a one-node function.
 """
 
 import weakref
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from cpnet.affinity import ideal_affinity_map, unary_affinity_loss
+from cpnet.gradcheck import TOLERANCE, fd_check
 from cpnet.rng import bulk_uniform
 from cpnet.tensor import (
     BatchNormState,
@@ -25,6 +27,7 @@ from cpnet.tensor import (
     conv2d,
     matmul,
     mul,
+    record,
     relu,
     scale,
     sum_all,
@@ -95,7 +98,7 @@ def test_second_backward_on_the_same_tape_returns_equal_gradients():
     with Graph() as g:
         loss = sum_all(mul(p, p))
     first = g.backward(loss)[p].copy()
-    assert np.array_equal(first, 2 * p.value.data)
+    assert np.array_equal(first, 2 * p.data)
     assert np.array_equal(g.backward(loss)[p], first)
 
 
@@ -111,8 +114,8 @@ def test_backward_keeps_only_leaf_and_parameter_gradients():
         assert t not in grads
         with pytest.raises(KeyError):
             grads[t]
-    mask = (p.value.data * x.data > 0).astype(float)
-    assert np.array_equal(grads[x], mask * p.value.data)
+    mask = (p.data * x.data > 0).astype(float)
+    assert np.array_equal(grads[x], mask * p.data)
     assert np.array_equal(grads[p], mask * x.data)
 
 
@@ -262,3 +265,21 @@ def test_gradients_route_through_many_dropped_intermediates():
     dacc = 2 * acc.data
     assert np.allclose(grads[x], 0.5 ** n * dacc, rtol=1e-12, atol=0)
     assert np.allclose(grads[p], (2 - 2 * 0.5 ** n) * dacc, rtol=1e-12, atol=0)
+
+
+def test_fd_check_perturbs_a_parameter_leaf_as_itself():
+    # sum(p * p) as one fused node whose backward returns g * p (half the true
+    # 2p): the error is 0.5 only if the differences moved the Parameter's own
+    # data, and the true backward passes the same check
+    def builder(factor):
+        def build(rng):
+            def f(tp):
+                out = Tensor(np.asarray((tp.data * tp.data).sum()))
+                return record((tp,), out, lambda g: (factor * g * tp.data,))
+
+            return [Parameter("w", rng.normal(size=(2, 3)))], f
+
+        return build
+
+    assert fd_check(builder(2.0), trials=2) < TOLERANCE
+    assert fd_check(builder(1.0), trials=2) == pytest.approx(0.5, abs=1e-6)

@@ -94,8 +94,8 @@ def test_seg_head_width_depends_on_the_context_branch():
     with_prior = small_model()
     without = small_model(use_context_prior=False)
     c0 = with_prior.c0
-    assert with_prior.seg_head.weight.value.shape == (3, c0 + 2 * with_prior.c1, 1, 1)
-    assert without.seg_head.weight.value.shape == (3, c0, 1, 1)
+    assert with_prior.seg_head.weight.shape == (3, c0 + 2 * with_prior.c1, 1, 1)
+    assert without.seg_head.weight.shape == (3, c0, 1, 1)
 
 
 def test_parameter_names_are_unique_and_bn_is_decay_exempt():
@@ -113,9 +113,9 @@ def test_parameter_names_are_unique_and_bn_is_decay_exempt():
 def test_same_seed_same_init_different_seed_different_init():
     a, b, c = small_model(seed=1), small_model(seed=1), small_model(seed=2)
     for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa.value.data, pb.value.data)
+        assert np.array_equal(pa.data, pb.data)
     assert any(
-        not np.array_equal(pa.value.data, pc.value.data)
+        not np.array_equal(pa.data, pc.data)
         for pa, pc in zip(a.parameters(), c.parameters())
     )
 
@@ -261,7 +261,7 @@ def test_backward_returns_each_parameter_its_gradient_in_its_shape_and_dtype(ove
     grads = g.backward(terms.total)
     for q in model.parameters():
         assert q in grads, q.name
-        assert (grads[q].shape, grads[q].dtype) == (q.value.shape, q.value.data.dtype), q.name
+        assert (grads[q].shape, grads[q].dtype) == (q.shape, q.data.dtype), q.name
 
 
 def test_single_step_decreases_the_loss_in_at_least_95_of_100_trials():

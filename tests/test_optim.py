@@ -35,7 +35,7 @@ def test_plain_sgd_step():
     p = Parameter("w", Tensor(np.array([1.0, -2.0])))
     opt = SgdMomentum([p], momentum=0.0, weight_decay=0.0)
     opt.step({p: np.array([0.5, 0.25])}, lr=0.1)
-    assert np.allclose(p.value.data, [1.0 - 0.05, -2.0 - 0.025], atol=1e-15)
+    assert np.allclose(p.data, [1.0 - 0.05, -2.0 - 0.025], atol=1e-15)
     assert opt.step_count == 1
 
 
@@ -46,7 +46,7 @@ def test_momentum_accumulates_past_gradients():
     opt = SgdMomentum([p], momentum=0.9, weight_decay=0.0)
     for _ in range(2):
         opt.step({p: np.ones(1)}, lr=0.1)
-    assert p.value.data[0] == pytest.approx(-0.29, rel=1e-12)
+    assert p.data[0] == pytest.approx(-0.29, rel=1e-12)
 
 
 def test_weight_decay_pulls_toward_zero_without_gradient():
@@ -56,7 +56,7 @@ def test_weight_decay_pulls_toward_zero_without_gradient():
     for _ in range(5):
         opt.step({}, lr=0.5)
         theta -= 0.5 * (0.01 * theta)
-        assert p.value.data[0] == pytest.approx(theta, rel=1e-14)
+        assert p.data[0] == pytest.approx(theta, rel=1e-14)
 
 
 def test_decay_exempt_parameters_stay_put():
@@ -64,7 +64,7 @@ def test_decay_exempt_parameters_stay_put():
     opt = SgdMomentum([p], momentum=0.9, weight_decay=0.1)
     for _ in range(3):
         opt.step({}, lr=0.5)
-    assert p.value.data[0] == 1.0
+    assert p.data[0] == 1.0
 
 
 def test_fifty_random_settings_match_the_scalar_recursion():
@@ -89,7 +89,7 @@ def test_fifty_random_settings_match_the_scalar_recursion():
             opt.step({p: np.array([g])}, lr=lr)
             v = m * v + (g + wd * ref)
             ref = ref - lr * v
-        err = abs(p.value.data[0] - ref) / max(abs(ref), 1e-12)
+        err = abs(p.data[0] - ref) / max(abs(ref), 1e-12)
         worst = max(worst, err)
     assert worst < 1e-12, f"worst relative deviation {worst:.3e}"
 
@@ -97,7 +97,7 @@ def test_fifty_random_settings_match_the_scalar_recursion():
 def test_velocity_shape_guard():
     p = Parameter("w", Tensor(np.zeros(2)))
     opt = SgdMomentum([p])
-    p.value = Tensor(np.zeros(3))  # simulate a corrupted reload
+    p.data = np.zeros(3)  # simulate a corrupted reload
     with pytest.raises(ShapeError):
         opt.step({}, lr=0.1)
 
@@ -108,4 +108,4 @@ def test_unknown_parameter_has_no_velocity_slot():
     stranger = Parameter("b", Tensor(np.zeros(1)))
     opt.step({stranger: np.ones(1)}, lr=0.1)
     assert "b" not in opt.velocity
-    assert stranger.value.data[0] == 0.0
+    assert stranger.data[0] == 0.0

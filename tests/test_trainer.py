@@ -303,7 +303,7 @@ def test_dump_prior_untrained_head_is_uniform_gray(tmp_path):
     """Zeroed prior weights give P = sigmoid(0) = 0.5, i.e. flat gray."""
     cfg = tiny_config()
     model = build_model(cfg)
-    model.cp_layer.prior_conv.weight.value.data[...] = 0.0
+    model.cp_layer.prior_conv.weight.data[...] = 0.0
     scene = val_scenes(cfg)[0]
 
     paths = dump_prior(model, scene, str(tmp_path))
@@ -331,9 +331,9 @@ def test_dump_prior_rows_are_query_pixels(tmp_path):
     _stage4, stage5 = model.backbone(Tensor(scene.image[None]), mode="eval")
     xa = cp.aggregation(stage5, mode="eval").data.reshape(cp.c1, cp.n).astype(np.float64)
     gain = np.float32(4.0 / np.abs(xa).max())  # spread P over (0, 1)
-    cp.prior_conv.weight.value.data[...] = 0.0
+    cp.prior_conv.weight.data[...] = 0.0
     for key in range(cp.n):
-        cp.prior_conv.weight.value.data[key, key % cp.c1, 0, 0] = gain
+        cp.prior_conv.weight.data[key, key % cp.c1, 0, 0] = gain
     dump_prior(model, scene, str(tmp_path))
 
     scale = gain / np.sqrt(1.0 + BN_EPS)  # eval BN with fresh running stats
