@@ -14,11 +14,14 @@ written by:
 - ``cpnet dump-prior --scene 3`` on the stock run's final checkpoint;
 
 then the result line of ``cpnet eval`` of that checkpoint on the
-``gen-data`` scenes at the config's defaults, the relative error of
-every ``gradcheck.CHECKS`` entry and that of ``gradcheck.full_model_check``.
-Running it on two checkouts and diffing the two outputs shows whether a
-change moved any output byte, the evaluation or any gradient check.  Takes
-about ten seconds on one core.
+``gen-data`` scenes at the config's defaults, ``sha256  grad <run> <name>``
+for every Parameter gradient of one recorded forward and backward at each
+run's config (freshly built model, fixed random image and labels), the
+relative error of every ``gradcheck.CHECKS`` entry and that of
+``gradcheck.full_model_check``.  Running it on two checkouts and diffing
+the two outputs shows whether a change moved any output byte, any
+gradient bit, the evaluation or any gradient check.  Takes about ten
+seconds on one core.
 """
 
 import contextlib
@@ -31,10 +34,15 @@ import tempfile
 os.environ["CPNET_THREADS"] = "1"  # byte-reproducible runs are single-threaded
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+import numpy as np  # noqa: E402
+
 from cpnet.cli import entry  # noqa: E402
 from cpnet.config import TrainConfig, serialize_config  # noqa: E402
 from cpnet.gradcheck import CHECKS, full_model_check  # noqa: E402
-from cpnet.train import train  # noqa: E402
+from cpnet.network import cpnet_forward, total_loss  # noqa: E402
+from cpnet.rng import bulk_uniform  # noqa: E402
+from cpnet.tensor import Graph, Tensor  # noqa: E402
+from cpnet.train import build_model, train  # noqa: E402
 
 STOCK = TrainConfig(seed=7, total_iterations=60, val_scenes=8, eval_every=20,
                     checkpoint_every=20)
@@ -65,6 +73,19 @@ def _digests(root: str) -> list[str]:
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
+def _gradient_digests(run: str, cfg: TrainConfig) -> list[str]:
+    """sha256 of each Parameter gradient of one training forward and backward."""
+    model = build_model(cfg)
+    shape = (cfg.batch_size, cfg.crop, cfg.crop)
+    image = Tensor(bulk_uniform(cfg.seed, (shape[0], 3) + shape[1:]).astype(np.float32))
+    labels = (bulk_uniform(cfg.seed + 1, shape) * cfg.num_classes).astype(np.int32)
+    with Graph() as g:
+        terms = total_loss(*cpnet_forward(model, image, labels), labels, cfg)
+    grads = g.backward(terms.total)
+    return [f"{hashlib.sha256(grads[p].tobytes()).hexdigest()}  grad {run} {p.name}"
+            for p in model.parameters()]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as root:
         stock = os.path.join(root, "stock")
@@ -81,6 +102,8 @@ def main() -> int:
         for line in _digests(root):
             print(line)
         print(f"eval {evaluated}")
+    for line in _gradient_digests("stock", STOCK) + _gradient_digests("crop128", CROP128):
+        print(line)
     for name in sorted(CHECKS):
         print(f"gradcheck {name} rel err {CHECKS[name]()!r}")
     print(f"gradcheck full_model rel err {full_model_check()!r}")

@@ -23,7 +23,7 @@ from .config import TrainConfig
 from .context_prior import AggregationModule, ContextPriorLayer
 from .labelmap import IGNORE_INDEX
 from .network import CPNet, cpnet_forward, total_loss
-from .tensor import Graph, Tensor
+from .tensor import Graph, Parameter, Tensor
 
 H_STEP = 1e-4
 TOLERANCE = 1e-4
@@ -54,15 +54,17 @@ def fd_check(build: Callable, trials: int = 20, seed: int = 0) -> float:
 
     ``build(rng) -> (leaves, f)`` where f maps the leaves, as tensors, to a
     scalar Tensor.  A leaf is a float64 array, which is wrapped in a fresh
-    Tensor, or a Tensor (a module's Parameter, say), which is used as
-    itself.  The leaves' data are perturbed in place (and restored) during
-    the sweep, and f is evaluated on the same tensors each time.
+    Parameter (the tape routes gradients to Parameters only), or a Tensor
+    (a module's Parameter, say), which is used as itself.  The leaves' data
+    are perturbed in place (and restored) during the sweep, and f is
+    evaluated on the same tensors each time.
     """
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng(seed * 1000 + t)
         leaves, f = build(rng)
-        tensors = [leaf if isinstance(leaf, Tensor) else Tensor(leaf) for leaf in leaves]
+        tensors = [leaf if isinstance(leaf, Tensor) else Parameter(f"leaf{i}", leaf)
+                   for i, leaf in enumerate(leaves)]
         with Graph() as g:
             loss = f(*tensors)
         grads = g.backward(loss)
@@ -189,6 +191,12 @@ _CONV_CASES = [
     # depthwise one-column and one-row kernels, banded: strided, and dilated
     dict(x=(2, 3, 7, 5), w=(3, 1, 5, 1), stride=2, padding=(2, 0), dilation=1, groups=3, bias=True),
     dict(x=(2, 4, 5, 8), w=(4, 1, 1, 3), stride=1, padding=(1, 2), dilation=2, groups=4, bias=False),
+    # output rows of 16 px or more scatter dx tap by tap: dilated, strided on
+    # an odd side, and strided along the rows only
+    dict(x=(1, 1, 6, 20), w=(2, 1, 3, 3), stride=1, padding=2, dilation=2, groups=1, bias=True),
+    dict(x=(1, 1, 5, 33), w=(2, 1, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=False),
+    dict(x=(1, 1, 7, 17), w=(2, 1, 3, 3), stride=(2, 1), padding=1, dilation=1, groups=1,
+         bias=True),
 ]
 
 

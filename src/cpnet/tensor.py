@@ -20,13 +20,16 @@ recorded input must not be mutated before ``backward``.  Gradients are
 routed by key: every tensor draws a process-unique key at creation, so a
 freed tensor's key is never reused.
 
-Gradients live only in the :class:`Gradients` that ``Graph.backward``
-returns; nothing accumulates across calls, so a second ``backward`` on the
-same tape returns equal gradients.  The sweep frees each intermediate
-gradient once its node has consumed it, so those gradients are the leaf
-tensors' only; asking for an op's output raises KeyError.  A
-:class:`Parameter` is a leaf tensor with a name, so ops, the tape and
-``Gradients`` take it as any other tensor.
+Gradients flow only where they are read.  A :class:`Parameter` needs a
+gradient, and so does the output of a recorded node; an op none of whose
+inputs needs one records nothing, and a node's input that needs none gets
+no gradient (a conv whose input is the image skips dx).  Gradients live
+only in the :class:`Gradients` that ``Graph.backward`` returns; nothing
+accumulates across calls, so a second ``backward`` on the same tape
+returns equal gradients.  The sweep frees each intermediate gradient once
+its node has consumed it, so those gradients are the Parameters' only;
+asking for an op's output or a plain leaf raises KeyError.  Apart from
+that, ops take a Parameter as any other tensor.
 """
 
 from __future__ import annotations
@@ -104,8 +107,10 @@ def full(shape, value, dtype="float32") -> Tensor:
 
 class Parameter(Tensor):
     """A named trainable leaf tensor: every op takes it as itself, and its
-    gradient is ``Graph.backward(loss)[param]``.  ``value`` is an array or a
-    Tensor, whose data it shares."""
+    gradient is ``Graph.backward(loss)[param]``.  Parameters are the only
+    leaves the tape differentiates, so a test or a gradient check that
+    reads a leaf's gradient makes that leaf a Parameter.  ``value`` is an
+    array or a Tensor, whose data it shares."""
 
     __slots__ = ("name", "decay")
 
@@ -135,7 +140,7 @@ def active_graph() -> "Graph | None":
 
 class Gradients:
     """Read-only view of the gradients computed by one backward pass, indexed
-    by the leaf tensor (a Parameter is one)."""
+    by the Parameter (the only leaves that receive one)."""
 
     def __init__(self, by_key: dict):
         self._by_key = by_key
@@ -157,8 +162,15 @@ class Graph:
     """Tape of recorded operations; context manager enables recording."""
 
     def __init__(self):
-        # ((input key, input shape), ...), output key, backward fn
+        # ((input key, input shape) or None, ...), output key, backward fn;
+        # None marks an input that needs no gradient
         self.nodes: list[tuple] = []
+        self._recorded: set[int] = set()  # output keys of the recorded nodes
+
+    def needs_grad(self, t: Tensor) -> bool:
+        """A Parameter needs a gradient, and so does every output this tape
+        recorded (one of its inputs needed one); nothing else does."""
+        return isinstance(t, Parameter) or t.key in self._recorded
 
     def __enter__(self) -> "Graph":
         _GRAPHS.append(self)
@@ -169,23 +181,28 @@ class Graph:
         assert popped is self
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Reverse sweep from a scalar loss; returns the gradients of its leaves.
+        """Reverse sweep from a scalar loss; returns the gradients of the
+        Parameters it depends on.
 
         Each output gradient is dropped as soon as its node has consumed it,
-        so the returned Gradients hold the leaves (parameters included) only.
+        and no input that needs no gradient receives one, so the returned
+        Gradients hold Parameters only.
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
+        grads: dict[int, np.ndarray] = {}
+        if self.needs_grad(loss):
+            grads[loss.key] = np.ones((), dtype=loss.data.dtype)
         for inputs, out, bwd in reversed(self.nodes):
             # a node's output gradient is complete once the sweep reaches it,
             # and nothing reads it after its node has consumed it
             gout = grads.pop(out, None)
             if gout is None:
                 continue
-            for (key, shape), gi in zip(inputs, bwd(gout)):
-                if gi is None:
+            for slot, gi in zip(inputs, bwd(gout)):
+                if slot is None or gi is None:
                     continue
+                key, shape = slot
                 if gi.shape != shape:
                     raise ShapeError(
                         f"backward produced grad shape {gi.shape} for input "
@@ -197,16 +214,21 @@ class Graph:
 
 
 def record(inputs, out: Tensor, bwd) -> Tensor:
-    """Append one node to the active tape (no-op when nothing is recording).
+    """Append one node to the active tape (no-op when nothing is recording,
+    or when no input needs a gradient).
 
     ``bwd(grad_out) -> tuple`` must return one gradient array (or None) per
-    input, in order.  The tape keeps the inputs' keys and shapes, not the
-    inputs, so ``bwd`` should close over only the arrays it reads.  Exposed
-    so other modules can define fused operations.
+    input, in order; the sweep drops those of inputs that need none.  The
+    tape keeps the inputs' keys and shapes, not the inputs, so ``bwd``
+    should close over only the arrays it reads.  Exposed so other modules
+    can define fused operations.
     """
     g = active_graph()
     if g is not None:
-        g.nodes.append((tuple((t.key, t.data.shape) for t in inputs), out.key, bwd))
+        slots = tuple((t.key, t.data.shape) if g.needs_grad(t) else None for t in inputs)
+        if any(slots):
+            g.nodes.append((slots, out.key, bwd))
+            g._recorded.add(out.key)
     return out
 
 
@@ -451,6 +473,10 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     - im2col: everything else, a 2-D depthwise kernel or a strided or padded
       other axis included.  The windows are copied into columns for the
       GEMM; the tape keeps the input, and the backward copies them again.
+
+    Each kind computes dx only when the active tape needs a gradient for
+    ``x``, so stage 1, whose input is the image, computes its weight
+    gradient alone.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -486,14 +512,15 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     wd = w.data if (kh, kw) == w.shape[2:] else np.ascontiguousarray(w.data[:, :, lh:hh, lw:hw])
     along_h = kw == 1 and (sw, x0, ow) == (1, 0, wid)  # other axis read whole
     along_w = kh == 1 and (sh, y0, oh) == (1, 0, h)
+    need_dx = (g := active_graph()) is not None and g.needs_grad(x)
     if (kh, kw, sh, sw, y0, x0, oh, ow) == (1, 1, 1, 1, 0, 0, h, wid):
-        out, grads = _conv_in_place(x.data, wd, groups)
+        out, grads = _conv_in_place(x.data, wd, groups, need_dx)
     elif cin_g == cout // groups == 1 and (along_h or along_w):
         kernel_axis = (h, oh, sh, dh, y0) if along_h else (wid, ow, sw, dw, x0)
-        out, grads = _conv_banded(x.data, wd, along_h, kernel_axis)
+        out, grads = _conv_banded(x.data, wd, along_h, kernel_axis, need_dx)
     else:
         out, grads = _conv_im2col(x.data, wd, groups, (oh, ow), (sh, sw), (dh, dw),
-                                  (y0, y1, x0, x1))
+                                  (y0, y1, x0, x1), need_dx)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
     out_t = Tensor(out)
@@ -511,12 +538,13 @@ def conv2d(x, w, bias=None, stride=1, padding=0, dilation=1, groups: int = 1) ->
     return record(inputs, out_t, bwd)
 
 
-# Each window kind returns (output, grads) with grads(g) -> (dx, dw); outputs
-# are computed per (sample, group) or per (sample, channel), so a sample's
-# output is bit-independent of its batch mates (BLAS may pick a different
-# kernel for a wider matrix).
+# Each window kind returns (output, grads) with grads(g) -> (dx, dw), where
+# dx is None unless ``need_dx`` (x is a Parameter or a recorded output);
+# outputs are computed per (sample, group) or per (sample, channel), so a
+# sample's output is bit-independent of its batch mates (BLAS may pick a
+# different kernel for a wider matrix).
 
-def _conv_in_place(xd, wd, groups):
+def _conv_in_place(xd, wd, groups, need_dx):
     """A 1x1 kernel at unit stride whose window is the input itself: the
     GEMMs read x directly, dx is the column GEMM, and nothing is copied for
     the backward."""
@@ -533,6 +561,8 @@ def _conv_in_place(xd, wd, groups):
         gw = np.matmul(
             gm.transpose(1, 2, 0, 3).reshape(groups, og, -1), cols.transpose(0, 2, 1)
         ).reshape(wd.shape)
+        if not need_dx:
+            return None, gw
         return np.matmul(w3.transpose(0, 2, 1), gm).reshape(xd.shape), gw
 
     return out, grads
@@ -552,7 +582,7 @@ def _band_index(n_in: int, n_out: int, k: int, stride: int, dilation: int, start
     return pos, live
 
 
-def _conv_banded(xd, wd, along_h, kernel_axis):
+def _conv_banded(xd, wd, along_h, kernel_axis, need_dx):
     """A depthwise kernel whose kept taps lie on one column (``along_h``) or
     one row, reading the other axis whole at unit stride.  Each channel's
     taps become one banded (n_out, n_in) matrix along the kernel axis, so the
@@ -570,10 +600,10 @@ def _conv_banded(xd, wd, along_h, kernel_axis):
 
     def grads(g):
         if along_h:
-            dx = np.matmul(band.transpose(0, 2, 1), g)
+            dx = np.matmul(band.transpose(0, 2, 1), g) if need_dx else None
             gv, xv = g, xd
         else:
-            dx = np.matmul(g, band)
+            dx = np.matmul(g, band) if need_dx else None
             gv, xv = g.transpose(0, 1, 3, 2), xd.transpose(0, 1, 3, 2)
         # (c, n_out, B*m) x (c, B*m, n_in): the GEMM sums over the batch
         dband = np.matmul(gv.transpose(1, 2, 0, 3).reshape(c, n_out, -1),
@@ -584,13 +614,25 @@ def _conv_banded(xd, wd, along_h, kernel_axis):
     return out, grads
 
 
-def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
+# Output rows at least this long scatter dx tap by tap; shorter ones (every
+# conv at crop 32) run np.add.at, which is 2-3x faster on 4-8 px rows.
+TAP_SCATTER_MIN_ROW = 16
+
+
+def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span, need_dx):
     """Any geometry: zero-pad a copy of x as far as the kept taps read (input
     rows and columns ``span`` = (y0, y1, x0, x1)) and copy the windows into
     columns for one GEMM per group.  The backward closure keeps ``xd``, not the
     columns (a 2.25x to 9x copy of it): it copies the same windows again for
-    the weight gradient, and scatters dx back with np.add.at.  So ``xd`` must
-    not be mutated between the forward and the backward."""
+    the weight gradient.  So ``xd`` must not be mutated between the forward
+    and the backward.
+
+    dx, when needed, scatters the column gradient back into the padded input.
+    Output rows of ``TAP_SCATTER_MIN_ROW`` px or more add one slab per kept tap
+    into the s_h x s_w phase planes of the stride and interleave them at the
+    end; shorter rows run np.add.at over a cached flat index.  Both add each
+    pixel's contributions in (kh, kw) order onto zeros, so dx is bit-identical
+    either way."""
     bsz, cin, h, wid = xd.shape
     cout, cg, kh, kw = wd.shape
     og = cout // groups
@@ -621,13 +663,30 @@ def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span):
             gm.transpose(1, 2, 0, 3).reshape(groups, og, -1),
             columns().reshape(groups, k, -1).transpose(0, 2, 1),
         ).reshape(wd.shape)
-        dcols = np.matmul(w3.transpose(0, 2, 1), gm).reshape(bsz, -1)
-        dxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)
-        idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
-        flat = dxp.reshape(bsz, -1)
-        for n in range(bsz):
-            np.add.at(flat[n, r0 * wp + c0:], idx, dcols[n])
-        return np.ascontiguousarray(dxp[:, :, pt:pt + h, pl:pl + wid]), gw
+        if not need_dx:
+            return None, gw
+        dcols = np.matmul(w3.transpose(0, 2, 1), gm)
+        if ow < TAP_SCATTER_MIN_ROW:
+            dxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)
+            idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
+            flat, dcols = dxp.reshape(bsz, -1), dcols.reshape(bsz, -1)
+            for n in range(bsz):
+                np.add.at(flat[n, r0 * wp + c0:], idx, dcols[n])
+            return np.ascontiguousarray(dxp[:, :, pt:pt + h, pl:pl + wid]), gw
+        # padded row y lies in phase plane y % sh, at its row y // sh (columns alike)
+        dcols = dcols.reshape(bsz, cin, kh, kw, oh, ow)
+        planes = np.zeros((sh, sw, bsz, cin, -(-hp // sh), -(-wp // sw)), dtype=g.dtype)
+        for i, j in np.ndindex(kh, kw):
+            r, c = r0 + i * dh, c0 + j * dw
+            planes[r % sh, c % sw, :, :, r // sh:r // sh + oh,
+                   c // sw:c // sw + ow] += dcols[:, :, i, j]
+        dx = np.empty(xd.shape, dtype=g.dtype)
+        for py, px in np.ndindex(sh, sw):
+            y, x = (py - pt) % sh, (px - pl) % sw  # the first input row and column of the phase
+            dst = dx[:, :, y::sh, x::sw]
+            r, c = (y + pt) // sh, (x + pl) // sw
+            dst[...] = planes[py, px, :, :, r:r + dst.shape[2], c:c + dst.shape[3]]
+        return dx, gw
 
     return out, grads
 

@@ -23,7 +23,7 @@ from cpnet.affinity import (
 )
 from cpnet.labelmap import IGNORE_INDEX
 from cpnet.rng import bulk_uniform
-from cpnet.tensor import Graph, NumericError, ShapeError, Tensor
+from cpnet.tensor import Graph, NumericError, Parameter, ShapeError, Tensor
 
 
 def brute_force_affinity(labels: np.ndarray, ignore: int):
@@ -233,7 +233,7 @@ def test_unary_gradient_is_gated_by_the_clamp():
     m = one_target([[0, 1], [0, 1]], 2)
     p = random_prior(11, 4)
     p[0, 0, 0] = 0.0  # saturated at the clamp boundary: no gradient may pass
-    pt = Tensor(p)
+    pt = Parameter("p", p)
     with Graph() as g:
         loss = unary_affinity_loss(pt, m)
     grads = g.backward(loss)
@@ -308,7 +308,7 @@ def test_global_gradient_matches_finite_differences():
     # gates are all open on every row, exercising the full bracket
     m = one_target([[0, 1, 0], [1, 0, 1], [0, 1, 2]], 3)
     p = random_prior(17, 9)
-    pt = Tensor(p)
+    pt = Parameter("p", p)
     with Graph() as g:
         loss, _ = global_affinity_loss(pt, m)
     grad = g.backward(loss)[pt]
@@ -331,7 +331,7 @@ def test_global_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def loss_and_grad(fn, p, target):
-    pt = Tensor(p)
+    pt = Parameter("p", p)
     with Graph() as g:
         loss = fn(pt, target)
         loss = loss[0] if isinstance(loss, tuple) else loss

@@ -49,7 +49,7 @@ def test_traced_benchmark_patches_the_package_and_restores_it(spans):
     inst.install()
     try:
         during = package_attributes()
-        x = T.Tensor(np.arange(3.0))
+        x = T.Parameter("x", np.arange(3.0))
         with T.Graph() as g:
             loss = T.sum_all(T.mul(x, x))
         grads = g.backward(loss)

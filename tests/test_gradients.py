@@ -43,8 +43,8 @@ def rnd(seed, shape, lo=-2.0, hi=2.0):
 # ---------------------------------------------------------------------------
 
 def test_product_rule_is_exact():
-    a = Tensor(rnd(1, (3, 4)))
-    b = Tensor(rnd(2, (3, 4)))
+    a = Parameter("a", rnd(1, (3, 4)))
+    b = Parameter("b", rnd(2, (3, 4)))
     with Graph() as g:
         loss = sum_all(mul(a, b))
     grads = g.backward(loss)
@@ -54,8 +54,8 @@ def test_product_rule_is_exact():
 
 def test_matmul_gradient_identity():
     # d/dA sum(A @ B) = ones @ B^T, exactly
-    a = Tensor(rnd(3, (4, 5)))
-    b = Tensor(rnd(4, (5, 2)))
+    a = Parameter("a", rnd(3, (4, 5)))
+    b = Parameter("b", rnd(4, (5, 2)))
     with Graph() as g:
         loss = sum_all(matmul(a, b))
     grads = g.backward(loss)
@@ -65,7 +65,7 @@ def test_matmul_gradient_identity():
 
 
 def test_relu_gradient_is_a_mask():
-    x = Tensor(np.array([-1.0, 2.0, -3.0, 4.0]))
+    x = Parameter("x", np.array([-1.0, 2.0, -3.0, 4.0]))
     with Graph() as g:
         loss = sum_all(relu(x))
     grads = g.backward(loss)
@@ -73,7 +73,7 @@ def test_relu_gradient_is_a_mask():
 
 
 def test_clamp_gradient_vanishes_outside_the_window():
-    x = Tensor(np.array([-2.0, -0.3, 0.6, 3.0]))
+    x = Parameter("x", np.array([-2.0, -0.3, 0.6, 3.0]))
     with Graph() as g:
         loss = sum_all(clamp(x, -1.0, 1.0))
     grads = g.backward(loss)
@@ -81,7 +81,7 @@ def test_clamp_gradient_vanishes_outside_the_window():
 
 
 def test_fan_out_gradients_accumulate():
-    x = Tensor(rnd(5, (3,)))
+    x = Parameter("x", rnd(5, (3,)))
     with Graph() as g:
         loss = sum_all(add(x, x))
     grads = g.backward(loss)
@@ -103,20 +103,25 @@ def test_second_backward_on_the_same_tape_returns_equal_gradients():
 
 
 def test_backward_keeps_only_leaf_and_parameter_gradients():
-    # intermediate gradients are freed during the sweep; leaves keep theirs
+    # intermediate gradients are freed during the sweep, and of the leaves
+    # only the Parameters receive one
     p = Parameter("w", rnd(12, (2, 3)))
     x = Tensor(rnd(13, (2, 3)))
     with Graph() as g:
         h = relu(mul(p, x))
         loss = sum_all(h)
     grads = g.backward(loss)
-    for t in (h, loss):
+    for t in (h, loss, x):
         assert t not in grads
         with pytest.raises(KeyError):
             grads[t]
     mask = (p.data * x.data > 0).astype(float)
-    assert np.array_equal(grads[x], mask * p.data)
     assert np.array_equal(grads[p], mask * x.data)
+    # the same leaf as a Parameter gets the gradient the plain one skipped
+    xp = Parameter("x", x.data)
+    with Graph() as g:
+        loss = sum_all(relu(mul(p, xp)))
+    assert np.array_equal(g.backward(loss)[xp], mask * p.data)
 
 
 def test_backward_requires_a_scalar():
@@ -128,7 +133,7 @@ def test_backward_requires_a_scalar():
 
 
 def test_untouched_tensors_receive_no_gradient():
-    x = Tensor(rnd(8, (2,)))
+    x = Parameter("x", rnd(8, (2,)))
     unused = Tensor(rnd(9, (2,)))
     with Graph() as g:
         loss = sum_all(mul(x, x))
@@ -140,7 +145,7 @@ def test_untouched_tensors_receive_no_gradient():
 
 
 def test_recording_stops_outside_the_context():
-    x = Tensor(rnd(10, (2,)))
+    x = Parameter("x", rnd(10, (2,)))
     with Graph() as g:
         inside = sum_all(mul(x, x))
     outside = sum_all(mul(x, x))  # not recorded anywhere
@@ -151,7 +156,7 @@ def test_recording_stops_outside_the_context():
 
 
 def test_nested_graphs_record_independently():
-    x = Tensor(rnd(11, (3,)))
+    x = Parameter("x", rnd(11, (3,)))
     with Graph() as outer:
         sum_all(x)
         with Graph() as inner:
@@ -198,7 +203,7 @@ def test_unary_term_keeps_the_boolean_target_not_a_float_pair_array():
     # the only float (B, N, N) array its closure holds is the prior map itself
     labels = rnd(27, (2, 4, 4), 0.0, 3.0).astype(np.int32)
     target = ideal_affinity_map(labels, 3)
-    q = Tensor(rnd(28, (2, 16, 16), 0.02, 0.98).astype(np.float32))
+    q = Parameter("q", rnd(28, (2, 16, 16), 0.02, 0.98).astype(np.float32))
     with Graph() as g:
         unary_affinity_loss(q, target)
     (_inputs, _out, bwd), = g.nodes
@@ -233,7 +238,7 @@ def test_dense_conv_keeps_its_input_not_its_im2col_columns():
     # a 3x3 stride-1 window holds each pixel 9 times; the backward rebuilds
     # the columns from the input instead of keeping them
     x = Tensor(rnd(29, (2, 4, 8, 8)).astype(np.float32))
-    w = Tensor(rnd(30, (6, 4, 3, 3)).astype(np.float32))
+    w = Parameter("w", rnd(30, (6, 4, 3, 3)).astype(np.float32))
     with Graph() as g:
         conv2d(x, w, padding=1)
     (_inputs, _out, bwd), = g.nodes
@@ -254,7 +259,7 @@ def test_gradients_route_through_many_dropped_intermediates():
     assert len(keys) == 100 and len(ids) < 100
 
     n = 200
-    x = Tensor(rnd(25, (5,)))
+    x = Parameter("x", rnd(25, (5,)))
     p = Parameter("p", rnd(26, (5,)))
     with Graph() as g:
         acc = x

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cpnet import tensor as T
 from cpnet.config import TrainConfig
 from cpnet.network import (
     DILATIONS,
@@ -22,6 +23,8 @@ from cpnet.train import build_model
 
 # the five loss weights; lambda_p, lambda_u and lambda_g differ from the stock 1.0
 WEIGHTS = TrainConfig(lambda_s=1.0, lambda_a=0.4, lambda_p=0.7, lambda_u=1.3, lambda_g=0.5)
+# the paper's 16x16 grid (N = 256): the train_grid16 benchmark's model overrides
+GRID16 = dict(crop=128, scene_size=128, batch_size=4, min_shape=48, max_shape=96)
 
 
 def rnd_image(seed, batch, side):
@@ -246,7 +249,7 @@ def test_loss_sees_every_parameter():
 
 @pytest.mark.parametrize("overrides", [
     {},
-    dict(crop=128, scene_size=128, batch_size=4, min_shape=48, max_shape=96),
+    GRID16,
     dict(use_context_prior=False),
 ], ids=["stock", "crop128", "plain"])
 def test_backward_returns_each_parameter_its_gradient_in_its_shape_and_dtype(overrides):
@@ -262,6 +265,37 @@ def test_backward_returns_each_parameter_its_gradient_in_its_shape_and_dtype(ove
     for q in model.parameters():
         assert q in grads, q.name
         assert (grads[q].shape, grads[q].dtype) == (q.shape, q.data.dtype), q.name
+
+
+def test_grid16_step_differentiates_the_parameters_only_and_keeps_no_scatter_index():
+    # nothing reads the image's gradient, so stage 1's conv builds none, and
+    # every conv's output rows at crop 128 (16-64 px) scatter dx tap by tap
+    cfg = TrainConfig(**GRID16)
+    model = build_model(cfg)
+    img = rnd_image(22, cfg.batch_size, cfg.crop)
+    gts = rnd_labels(23, cfg.batch_size, cfg.crop, cfg.num_classes)
+    T._conv_scatter_indices.cache_clear()
+    with Graph() as g:
+        terms = total_loss(*cpnet_forward(model, img, gts), gts, cfg)
+    grads = g.backward(terms.total)
+    for q in model.parameters():
+        assert (grads[q].shape, grads[q].dtype) == (q.shape, q.data.dtype), q.name
+    assert img not in grads
+    assert T._conv_scatter_indices.cache_info().currsize == 0
+    assert len(g.nodes) == 52
+
+
+def test_plain_tensors_get_no_gradient_and_record_nothing():
+    a, b = Tensor(np.arange(3.0)), Tensor(np.ones(3))
+    w = T.Parameter("w", np.full(3, 2.0))
+    with Graph() as g:
+        prod = T.mul(a, b)
+        assert g.nodes == []
+        loss = T.sum_all(T.mul(prod, w))
+    grads = g.backward(loss)
+    assert len(g.nodes) == 2
+    assert a not in grads and b not in grads and prod not in grads
+    assert np.array_equal(grads[w], a.data)
 
 
 def test_single_step_decreases_the_loss_in_at_least_95_of_100_trials():

@@ -20,6 +20,7 @@ from cpnet.tensor import (
     BatchNormState,
     Graph,
     NumericError,
+    Parameter,
     ShapeError,
     Tensor,
     add,
@@ -313,6 +314,15 @@ CONV_CASES = [
     dict(x=(2, 4, 5, 6), w=(6, 2, 1, 1), stride=1, padding=0, dilation=1, groups=2, bias=True),
     dict(x=(1, 3, 5, 5), w=(4, 3, 1, 1), stride=(1, 2), padding=(0, 1), dilation=1, groups=1,
          bias=False),
+    # output rows of 16 px or more scatter dx tap by tap: dilated, strided on
+    # an odd side, and strided along the rows only; `tag` keeps their ids
+    # apart from the narrow cases with the same kernel and stride
+    dict(x=(1, 2, 9, 18), w=(2, 2, 3, 3), stride=1, padding=2, dilation=2, groups=1, bias=True,
+         tag="wide"),
+    dict(x=(1, 2, 9, 33), w=(2, 2, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=False,
+         tag="wide"),
+    dict(x=(1, 2, 11, 17), w=(2, 2, 3, 3), stride=(2, 1), padding=1, dilation=1, groups=1,
+         bias=True, tag="wide"),
 ] + DEAD_TAP_CASES
 
 
@@ -321,7 +331,8 @@ def pair(v):
 
 
 def conv_case_id(c):
-    return f"w{c['w']}g{c['groups']}s{c['stride']}"
+    tag = f"-{c['tag']}" if "tag" in c else ""
+    return f"w{c['w']}g{c['groups']}s{c['stride']}{tag}"
 
 
 @pytest.mark.parametrize("case", CONV_CASES, ids=conv_case_id)
@@ -345,8 +356,8 @@ def test_conv2d_gradients_match_loop_oracle(case):
     stride, padding, dilation = pair(case["stride"]), pair(case["padding"]), pair(case["dilation"])
     x = rnd(41, case["x"])
     w = rnd(42, case["w"], lo=-1.0, hi=1.0)
-    xt, wt = Tensor(x), Tensor(w)
-    bt = Tensor(rnd(43, (case["w"][0],))) if case["bias"] else None
+    xt, wt = Parameter("x", x), Parameter("w", w)
+    bt = Parameter("b", rnd(43, (case["w"][0],))) if case["bias"] else None
     with Graph() as gr:
         out = conv2d(xt, wt, bt, stride=stride, padding=padding, dilation=dilation,
                      groups=case["groups"])
@@ -389,7 +400,7 @@ def test_conv2d_in_place_and_banded_paths_are_batch_invariant(case):
 def _forward_peak_bytes(x, w, **kw) -> int:
     """The most bytes a recorded conv2d forward held at once besides its
     output, which bounds what it leaves for the backward as well."""
-    xt, wt = Tensor(x), Tensor(w)
+    xt, wt = Tensor(x), Parameter("w", w)
     tracemalloc.start()
     try:
         with Graph() as tape:
@@ -420,12 +431,36 @@ def test_pointwise_conv_keeps_no_copy_of_its_input():
     assert _forward_peak_bytes(x, w) < x.nbytes // 8
 
 
+@pytest.mark.parametrize("side, stride", [(64, 2), (16, 1)], ids=["stage2", "aux"])
+def test_tap_scatter_dx_equals_an_add_at_scatter_bit_for_bit(side, stride):
+    # crop 128's stage-2 conv (64 px in, stride 2) and aux block (16 px), at 4
+    # channels: adding each tap's slab in (kh, kw) order onto zeros is the
+    # order in which np.add.at adds a pixel's contributions
+    b, c, o = 4, 4, side // stride
+    x = Parameter("x", (bulk_uniform(71, (b, c, side, side)) - 0.5).astype(np.float32))
+    w = Parameter("w", (bulk_uniform(72, (c, c, 3, 3)) - 0.5).astype(np.float32))
+    g = (bulk_uniform(73, (b, c, o, o)) - 0.5).astype(np.float32)
+    with Graph() as tape:
+        loss = sum_all(mul(conv2d(x, w, stride=stride, padding=1), Tensor(g)))
+    dx = tape.backward(loss)[x]
+
+    # the same column gradient, in (B, C, kh, kw, oh, ow) order
+    dcols = np.matmul(w.data.reshape(1, c, -1).transpose(0, 2, 1), g.reshape(b, 1, c, o * o))
+    ci, ky, kx, oy, ox = np.indices((c, 3, 3, o, o))
+    hp = side + 2
+    idx = ((ci * hp + ky + oy * stride) * hp + kx + ox * stride).reshape(-1)
+    want = np.zeros((b, c * hp * hp), dtype=np.float32)
+    for n in range(b):
+        np.add.at(want[n], idx, dcols[n].reshape(-1))
+    assert np.array_equal(dx, want.reshape(b, c, hp, hp)[:, :, 1:-1, 1:-1])
+
+
 @pytest.mark.parametrize("case", DEAD_TAP_CASES, ids=lambda c: f"w{c['w']}s{c['stride']}")
 def test_conv2d_dead_taps_get_exactly_zero_weight_gradient(case):
     stride, padding, dilation = pair(case["stride"]), pair(case["padding"]), pair(case["dilation"])
     x = rnd(31, case["x"])
     w = rnd(32, case["w"], lo=-1.0, hi=1.0)
-    xt, wt = Tensor(x), Tensor(w)
+    xt, wt = Parameter("x", x), Parameter("w", w)
     with Graph() as gr:
         out = conv2d(xt, wt, stride=stride, padding=padding, dilation=dilation,
                      groups=case["groups"])
@@ -568,7 +603,7 @@ def test_batch_norm_float32_matches_float64_oracle(mode):
         state.running_mean[:] = x.mean(axis=(0, 2, 3), dtype=np.float64) + 0.1
         state.running_var[:] = x.var(axis=(0, 2, 3), dtype=np.float64) * 1.2
         stats = dict(mean=state.running_mean, var=state.running_var)
-    xt, gt, bt = Tensor(x), Tensor(gamma), Tensor(beta)
+    xt, gt, bt = Parameter("x", x), Parameter("gamma", gamma), Parameter("beta", beta)
     with Graph() as tape:
         out = batch_norm(xt, gt, bt, state, mode=mode)
         loss = sum_all(mul(out, Tensor(g)))
@@ -731,7 +766,7 @@ def test_cross_entropy_float32_matches_loop_oracle():
     logits = rnd(53, (2, 4, 5, 6), lo=-6.0, hi=6.0).astype(np.float32)
     labels = (bulk_uniform(54, (2, 5, 6)) * 4).astype(np.int32)
     labels[bulk_uniform(55, (2, 5, 6)) < 0.2] = IGNORE_INDEX
-    lt = Tensor(logits)
+    lt = Parameter("logits", logits)
     with Graph() as g:
         loss = softmax_cross_entropy(lt, labels)
     grad = g.backward(loss)[lt]
