@@ -172,10 +172,14 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int, tuple, str]:
             if ln.startswith("step = "):
                 _refuse_repeat(step is not None, mpath, ln)
                 step = int(ln.split("=", 1)[1])
+                if step < 0:
+                    raise FormatError(f"{mpath}: negative step in {ln!r}")
                 continue
             if ln.startswith("rng = "):
                 _refuse_repeat(rng_state is not None, mpath, ln)
                 rng_state = tuple(int(tok, 16) for tok in ln.split("=", 1)[1].split())
+                if len(rng_state) != 4 or not all(0 <= s < 2**64 for s in rng_state):
+                    raise FormatError(f"{mpath}: {ln!r} is not four 64-bit words")
                 continue
             if not ln.startswith("tensor "):
                 raise FormatError(f"{mpath}: unrecognized line {ln!r}")

@@ -428,19 +428,6 @@ def conv2d_output_size(size: int, kernel: int, stride: int, pad: int, dilation: 
 
 
 @functools.lru_cache(maxsize=256)
-def _conv_scatter_indices(c, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw) -> np.ndarray:
-    """Flat offsets into one padded (c, hp, wp) image, in (c, kh, kw, oh, ow) order."""
-    rows = np.arange(kh)[:, None] * dh + np.arange(oh)[None, :] * sh  # (kh,oh)
-    cols = np.arange(kw)[:, None] * dw + np.arange(ow)[None, :] * sw  # (kw,ow)
-    idx = (
-        (np.arange(c) * hp * wp)[:, None, None, None, None]
-        + (rows * wp)[None, :, None, :, None]
-        + cols[None, None, :, None, :]
-    )  # (c, kh, kw, oh, ow)
-    return np.ascontiguousarray(idx.reshape(-1))
-
-
-@functools.lru_cache(maxsize=256)
 def _tap_span(size: int, k: int, stride: int, pad: int, dilation: int, out: int):
     """(lo, hi, start, stop): the hull [lo, hi) of the taps that reach a real pixel
     at some output position (those outside read only padding) and the indices it reads."""
@@ -614,11 +601,6 @@ def _conv_banded(xd, wd, along_h, kernel_axis, need_dx):
     return out, grads
 
 
-# Output rows at least this long scatter dx tap by tap; shorter ones (every
-# conv at crop 32) run np.add.at, which is 2-3x faster on 4-8 px rows.
-TAP_SCATTER_MIN_ROW = 16
-
-
 def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span, need_dx):
     """Any geometry: zero-pad a copy of x as far as the kept taps read (input
     rows and columns ``span`` = (y0, y1, x0, x1)) and copy the windows into
@@ -627,12 +609,11 @@ def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span, need_dx):
     the weight gradient.  So ``xd`` must not be mutated between the forward
     and the backward.
 
-    dx, when needed, scatters the column gradient back into the padded input.
-    Output rows of ``TAP_SCATTER_MIN_ROW`` px or more add one slab per kept tap
-    into the s_h x s_w phase planes of the stride and interleave them at the
-    end; shorter rows run np.add.at over a cached flat index.  Both add each
-    pixel's contributions in (kh, kw) order onto zeros, so dx is bit-identical
-    either way."""
+    dx, when needed, comes from one column GEMM per group on a (cout, oh, ow, B)
+    copy of the output gradient, whose result is (cin, kh, kw, oh, ow, B), so
+    a row of each kept tap's slab is ow*B contiguous values.  The slabs are
+    added into the s_h x s_w phase planes of the stride in (kh, kw) order onto
+    zeros, and each plane is copied into its strided slice of dx."""
     bsz, cin, h, wid = xd.shape
     cout, cg, kh, kw = wd.shape
     og = cout // groups
@@ -665,27 +646,21 @@ def _conv_im2col(xd, wd, groups, out_hw, stride, dilation, span, need_dx):
         ).reshape(wd.shape)
         if not need_dx:
             return None, gw
-        dcols = np.matmul(w3.transpose(0, 2, 1), gm)
-        if ow < TAP_SCATTER_MIN_ROW:
-            dxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)
-            idx = _conv_scatter_indices(cin, hp, wp, oh, ow, kh, kw, sh, sw, dh, dw)
-            flat, dcols = dxp.reshape(bsz, -1), dcols.reshape(bsz, -1)
-            for n in range(bsz):
-                np.add.at(flat[n, r0 * wp + c0:], idx, dcols[n])
-            return np.ascontiguousarray(dxp[:, :, pt:pt + h, pl:pl + wid]), gw
+        gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(groups, og, -1)
+        dcols = np.matmul(w3.transpose(0, 2, 1), gt).reshape(cin, kh, kw, oh, ow, bsz)
         # padded row y lies in phase plane y % sh, at its row y // sh (columns alike)
-        dcols = dcols.reshape(bsz, cin, kh, kw, oh, ow)
-        planes = np.zeros((sh, sw, bsz, cin, -(-hp // sh), -(-wp // sw)), dtype=g.dtype)
+        planes = np.zeros((sh, sw, cin, -(-hp // sh), -(-wp // sw), bsz), dtype=g.dtype)
         for i, j in np.ndindex(kh, kw):
             r, c = r0 + i * dh, c0 + j * dw
-            planes[r % sh, c % sw, :, :, r // sh:r // sh + oh,
-                   c // sw:c // sw + ow] += dcols[:, :, i, j]
+            planes[r % sh, c % sw, :, r // sh:r // sh + oh,
+                   c // sw:c // sw + ow] += dcols[:, i, j]
         dx = np.empty(xd.shape, dtype=g.dtype)
         for py, px in np.ndindex(sh, sw):
             y, x = (py - pt) % sh, (px - pl) % sw  # the first input row and column of the phase
             dst = dx[:, :, y::sh, x::sw]
             r, c = (y + pt) // sh, (x + pl) // sw
-            dst[...] = planes[py, px, :, :, r:r + dst.shape[2], c:c + dst.shape[3]]
+            src = planes[py, px, :, r:r + dst.shape[2], c:c + dst.shape[3]]
+            dst[...] = src.transpose(3, 0, 1, 2)
         return dx, gw
 
     return out, grads

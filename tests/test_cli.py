@@ -289,7 +289,9 @@ def test_corrupt_checkpoint_blob_exits_3(cli_run, capsys, tmp_path, command):
     ("step = ", "step = abc"),
     ("tensor ", "{} float33 {}"),
     ("tensor ", "{} float32 {} extra"),
-], ids=["step", "dtype", "fields"])
+    ("rng = ", "rng = 1 2 3"),
+    ("step = ", "step = -7"),
+], ids=["step", "dtype", "fields", "rng_3_words", "step_negative"])
 def test_unparsable_manifest_value_exits_3(cli_run, capsys, tmp_path, command, edit):
     ckpt = str(tmp_path / "ckpt")
     shutil.copytree(cli_run["ckpt"], ckpt)

@@ -262,7 +262,13 @@ def test_checkpoint_detects_manifest_tampering(tmp_path):
     "tensor layer.weight float33 2x3",
     "tensor layer.weight float32 2x3 extra",
     "tensor layer.weight float32 2xq",
-], ids=["step", "rng", "dtype", "fields", "shape"])
+    "rng = 1 2 3",
+    "rng = 1 2 3 4 5",
+    "rng = -1 2 3 4",
+    "rng = 10000000000000000 2 3 4",
+    "step = -7",
+], ids=["step", "rng", "dtype", "fields", "shape",
+        "rng_3_words", "rng_5_words", "rng_negative", "rng_2_64", "step_negative"])
 def test_checkpoint_unparsable_manifest_value_is_a_format_error(tmp_path, bad_line):
     tensors, step, rng_state, text = ckpt_fixture()
     path = str(tmp_path / "ckpt")
@@ -413,6 +419,8 @@ def fuzz_ckpt(tmp_path_factory):
 @example(manifest="step = 1\nrng = 1 2 3 4\ntensor meta.count int32 scalar\n"
                   "tensor meta.count int32 scalar")
 @example(manifest="step = 1\nrng = 1 2 3 4\nstep = 2")
+@example(manifest="step = 1\nrng = 1 2 3")
+@example(manifest="step = -4\nrng = 1 2 3 4")
 def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest):
     """Fuzzed step, rng and tensor lines, as text and as raw bytes: only
     FormatError or OSError escapes, and a manifest that loads names each
@@ -426,8 +434,9 @@ def test_checkpoint_fuzzed_manifest_is_format_error_or_loads(fuzz_ckpt, manifest
         tensors, step, rng_state, _text = load_checkpoint(fuzz_ckpt)
     except (FormatError, OSError):
         return
-    assert isinstance(step, int)
-    assert all(isinstance(word, int) for word in rng_state)
+    assert isinstance(step, int) and step >= 0
+    assert len(rng_state) == 4
+    assert all(isinstance(word, int) and 0 <= word < 2**64 for word in rng_state)
     assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
     assert not any(leaves_its_directory(name) for name in tensors)
     keys = [ln.strip().split(" ")[0] for ln in manifest.decode("utf-8").split("\n")

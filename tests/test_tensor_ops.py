@@ -431,28 +431,46 @@ def test_pointwise_conv_keeps_no_copy_of_its_input():
     assert _forward_peak_bytes(x, w) < x.nbytes // 8
 
 
-@pytest.mark.parametrize("side, stride", [(64, 2), (16, 1)], ids=["stage2", "aux"])
-def test_tap_scatter_dx_equals_an_add_at_scatter_bit_for_bit(side, stride):
-    # crop 128's stage-2 conv (64 px in, stride 2) and aux block (16 px), at 4
-    # channels: adding each tap's slab in (kh, kw) order onto zeros is the
-    # order in which np.add.at adds a pixel's contributions
-    b, c, o = 4, 4, side // stride
-    x = Parameter("x", (bulk_uniform(71, (b, c, side, side)) - 0.5).astype(np.float32))
-    w = Parameter("w", (bulk_uniform(72, (c, c, 3, 3)) - 0.5).astype(np.float32))
-    g = (bulk_uniform(73, (b, c, o, o)) - 0.5).astype(np.float32)
+TAP_SCATTER_CASES = {
+    # crop 128's stage-2 conv (64 px in, stride 2) and aux block (16 px)
+    "stage2": (64, 2, 1, 1, np.float32),
+    "aux": (16, 1, 1, 1, np.float32),
+    # the stock convs, on 4-8 px output rows
+    "stock_stage2": (16, 2, 1, 1, np.float32),
+    "stock_stage3": (8, 2, 1, 1, np.float32),
+    "stock_stage4": (4, 1, 2, 1, np.float32),
+    "stock_aux": (4, 1, 1, 1, np.float32),
+    "grouped": (8, 1, 1, 2, np.float32),
+    "float64": (16, 2, 1, 1, np.float64),
+}
+
+
+@pytest.mark.parametrize("side, stride, dilation, groups, dtype",
+                         TAP_SCATTER_CASES.values(), ids=TAP_SCATTER_CASES.keys())
+def test_tap_scatter_dx_equals_an_add_at_scatter_bit_for_bit(side, stride, dilation, groups, dtype):
+    # 3x3 convs at 4 channels, padded by their dilation: adding each tap's
+    # slab in (kh, kw) order onto zeros is the order in which np.add.at adds
+    # a pixel's contributions
+    b, c, o, p = 4, 4, side // stride, dilation
+    cg = c // groups
+    x = Parameter("x", (bulk_uniform(71, (b, c, side, side)) - 0.5).astype(dtype))
+    w = Parameter("w", (bulk_uniform(72, (c, cg, 3, 3)) - 0.5).astype(dtype))
+    g = (bulk_uniform(73, (b, c, o, o)) - 0.5).astype(dtype)
     with Graph() as tape:
-        loss = sum_all(mul(conv2d(x, w, stride=stride, padding=1), Tensor(g)))
+        out = conv2d(x, w, stride=stride, padding=p, dilation=dilation, groups=groups)
+        loss = sum_all(mul(out, Tensor(g)))
     dx = tape.backward(loss)[x]
 
     # the same column gradient, in (B, C, kh, kw, oh, ow) order
-    dcols = np.matmul(w.data.reshape(1, c, -1).transpose(0, 2, 1), g.reshape(b, 1, c, o * o))
+    w3 = w.data.reshape(groups, cg, -1).transpose(0, 2, 1)
+    dcols = np.matmul(w3, g.reshape(b, groups, cg, o * o))
     ci, ky, kx, oy, ox = np.indices((c, 3, 3, o, o))
-    hp = side + 2
-    idx = ((ci * hp + ky + oy * stride) * hp + kx + ox * stride).reshape(-1)
-    want = np.zeros((b, c * hp * hp), dtype=np.float32)
+    hp = side + 2 * p
+    idx = ((ci * hp + ky * dilation + oy * stride) * hp + kx * dilation + ox * stride).reshape(-1)
+    want = np.zeros((b, c * hp * hp), dtype=dtype)
     for n in range(b):
         np.add.at(want[n], idx, dcols[n].reshape(-1))
-    assert np.array_equal(dx, want.reshape(b, c, hp, hp)[:, :, 1:-1, 1:-1])
+    assert np.array_equal(dx, want.reshape(b, c, hp, hp)[:, :, p:-p, p:-p])
 
 
 @pytest.mark.parametrize("case", DEAD_TAP_CASES, ids=lambda c: f"w{c['w']}s{c['stride']}")
