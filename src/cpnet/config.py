@@ -75,6 +75,9 @@ class TrainConfig:
         if not self.min_shape <= self.max_shape <= self.scene_size:
             # a larger shape would only be clipped to the scene by _draw_shape
             raise ConfigError("max_shape must be in [min_shape, scene_size]")
+        for key in ("aug_scales", "eval_scales"):  # a scaled scene is bounded like the scene
+            if max(getattr(self, key)) * self.scene_size > MAX_SIDE:
+                raise ConfigError(f"{key} times scene_size must be at most {MAX_SIDE}")
 
 
 # Largest crop and scene side in pixels, above the 512-769 px crops used on

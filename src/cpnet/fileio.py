@@ -247,5 +247,7 @@ def load_dataset(path: str):
                 f"{path}: scene {sid} has image {img.shape} {img.dtype} and labels "
                 f"{lab.shape} {lab.dtype}; want (3, H, W) float with H, W >= 1 and (H, W) integer"
             )
+        if not (np.all(img >= 0) and np.all(img <= 1)):  # NaN fails both
+            raise FormatError(f"{path}: scene {sid} has a pixel outside [0, 1] or not finite")
         scenes[sid] = SyntheticScene(img, LabelMap(lab.astype(np.int32, copy=False)), seed)
     return list(scenes.values())

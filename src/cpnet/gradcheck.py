@@ -191,8 +191,8 @@ _CONV_CASES = [
     # depthwise one-column and one-row kernels, banded: strided, and dilated
     dict(x=(2, 3, 7, 5), w=(3, 1, 5, 1), stride=2, padding=(2, 0), dilation=1, groups=3, bias=True),
     dict(x=(2, 4, 5, 8), w=(4, 1, 1, 3), stride=1, padding=(1, 2), dilation=2, groups=4, bias=False),
-    # output rows of 16 px or more scatter dx tap by tap: dilated, strided on
-    # an odd side, and strided along the rows only
+    # wide output rows: dilated, strided on an odd side, and strided along
+    # the rows only
     dict(x=(1, 1, 6, 20), w=(2, 1, 3, 3), stride=1, padding=2, dilation=2, groups=1, bias=True),
     dict(x=(1, 1, 5, 33), w=(2, 1, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=False),
     dict(x=(1, 1, 7, 17), w=(2, 1, 3, 3), stride=(2, 1), padding=1, dilation=1, groups=1,

@@ -30,7 +30,6 @@ class SgdMomentum:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.velocity = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.step_count = 0
 
     def step(self, grads, lr: float) -> None:
         for p in self.params:
@@ -46,4 +45,3 @@ class SgdMomentum:
             v *= self.momentum
             v += g
             p.data -= lr * v
-        self.step_count += 1

@@ -26,7 +26,7 @@ from .data import (
     resize_labels,
 )
 from .fileio import FormatError, load_checkpoint, save_checkpoint, write_pgm, write_ppm
-from .network import CPNet, affinity_targets, cpnet_forward, total_loss
+from .network import OUTPUT_STRIDE, CPNet, affinity_targets, cpnet_forward, total_loss
 from .optim import SgdMomentum, poly_lr
 from .rng import Rng, derive
 from .tensor import NumericError
@@ -40,7 +40,7 @@ TAG_VAL_SCENES = 0x13
 def build_model(cfg: TrainConfig) -> CPNet:
     return CPNet(
         num_classes=cfg.num_classes,
-        feat_hw=cfg.crop // 8,
+        feat_hw=cfg.crop // OUTPUT_STRIDE,
         widths=cfg.widths,
         c1=cfg.c1,
         k=cfg.k,
@@ -111,7 +111,7 @@ def predict_probs(model: CPNet, img: np.ndarray, window: int) -> np.ndarray:
     (..., classes, H, W).
     """
     *lead, c, h, w = img.shape
-    ny, nx = max(1, -(-h // window)), max(1, -(-w // window))
+    ny, nx = -(-h // window), -(-w // window)
     hp, wp = ny * window, nx * window
     padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(0, hp - h), (0, wp - w)])
     tiles = padded.reshape(-1, c, ny, window, nx, window).transpose(0, 2, 4, 1, 3, 5)
@@ -130,28 +130,22 @@ def predict_scene_probs(
     flip: bool = False,
 ) -> np.ndarray:
     """Average probabilities over scaled (and optionally flipped) passes. A scaled
-    image and its mirror share one forward; the unflipped pass is summed first."""
+    image and its mirror share one forward; the mirror's map, flipped back, is added
+    to the unflipped one, and the sum takes one resize (bilinear rows sum to 1)."""
     _, h0, w0 = image.shape
     acc = np.zeros((model.num_classes, h0, w0))
     for s in scales:
         hs = max(int(round(h0 * s)), 1)
         ws = max(int(round(w0 * s)), 1)
-        scaled = image if (hs, ws) == (h0, w0) else resize_image(image, hs, ws).astype(np.float32)
+        same = (hs, ws) == (h0, w0)
+        scaled = image if same else resize_image(image, hs, ws).astype(np.float32)
         variants = np.stack([scaled, scaled[:, :, ::-1]]) if flip else scaled[None]
-        for do_flip, probs in enumerate(predict_probs(model, variants, window)):
-            if do_flip:
-                probs = probs[:, :, ::-1]
-            if (hs, ws) != (h0, w0):
-                probs = resize_image(probs, h0, w0)
-                probs /= probs.sum(axis=0, keepdims=True)
-            acc += probs
+        probs = predict_probs(model, variants, window)
+        if flip:
+            probs[0] += probs[1, :, :, ::-1]
+        acc += probs[0] if same else resize_image(probs[0], h0, w0)
+        del probs  # free the pair before the next scale's forward
     return acc / (len(scales) * (2 if flip else 1))
-
-
-def predict_labels(model, image, window, scales=(1.0,), flip=False) -> np.ndarray:
-    """The (H, W) int32 argmax of ``predict_scene_probs``."""
-    probs = predict_scene_probs(model, image, window, scales, flip)
-    return probs.argmax(axis=0).astype(np.int32)
 
 
 def evaluate(
@@ -164,7 +158,8 @@ def evaluate(
     """(pixel accuracy, mean IoU) over a list of scenes."""
     cm = ConfusionMatrix(model.num_classes)
     for scene in scenes:
-        cm.update(predict_labels(model, scene.image, window, scales, flip), scene.labels.labels)
+        probs = predict_scene_probs(model, scene.image, window, scales, flip)
+        cm.update(probs.argmax(axis=0), scene.labels.labels)
     return cm.pix_acc(), cm.mean_iou()
 
 
@@ -280,7 +275,7 @@ def affinity_series(csv_path: str) -> list[tuple[int, float]]:
 def dump_prior(model: CPNet, scene: SyntheticScene, out_dir: str) -> list[str]:
     """Write P, 1-P, the affinity target (built as in training), and input/prediction images."""
     os.makedirs(out_dir, exist_ok=True)
-    crop = model.feat_hw * 8
+    crop = model.feat_hw * OUTPUT_STRIDE
     img = scene.image
     if img.shape[1] != crop or img.shape[2] != crop:
         img = np.clip(resize_image(img, crop, crop), 0, 1).astype(np.float32)

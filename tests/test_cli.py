@@ -193,11 +193,13 @@ def test_oversized_scene_exits_1_from_gen_data(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--scales", "abc"), ("--scales", "nan"), ("--scales", "inf"), ("--scales", "0"),
-    ("--scales", "-1"), ("--scales", ","), ("--count", "-5"), ("--count", "0"),
+    ("--scales", "-1"), ("--scales", ","), ("--scales", "1e308"), ("--scales", "1e30"),
+    ("--count", "-5"), ("--count", "0"),
 ])
 def test_bad_numeric_flag_exits_1_without_a_traceback(cli_run, tmp_path, flag, value):
-    # --scales used to end in a ValueError or OverflowError traceback, evaluate
-    # a 1 px image or exit 1 silently; --count -5 used to report 5 scenes written
+    # --scales used to end in a ValueError or OverflowError traceback (also at
+    # 1e30 and 1e308, in resizing), evaluate a 1 px image or exit 1 silently;
+    # --count -5 used to report 5 scenes written
     if flag == "--scales":
         proc = _run_cli("eval", "--ckpt", cli_run["ckpt"], "--data", cli_run["data"],
                         f"--scales={value}")
@@ -378,6 +380,21 @@ def test_eval_malformed_dataset_exits_3_before_evaluating(cli_run, capsys, tmp_p
     assert entry(["eval", "--ckpt", cli_run["ckpt"], "--data", data]) == 3
     err = capsys.readouterr().err
     assert "i/o error:" in err and data in err
+
+
+def test_eval_dataset_with_pixels_outside_the_unit_interval_exits_3(cli_run, tmp_path):
+    # a NaN block in one scene and 50.0 everywhere in another used to score
+    # pixAcc 0.3047 and exit 0
+    size = cli_run["cfg"].scene_size
+    image = np.full((3, size, size), 0.5, dtype=np.float32)
+    image[:, 2:6, 3:7] = np.nan
+    data = _malformed_dataset(cli_run, tmp_path, "img", image)
+    write_cpt(os.path.join(data, "00002.img.cpt"), np.full((3, size, size), 50.0, np.float32))
+    proc = _run_cli("eval", "--ckpt", cli_run["ckpt"], "--data", data)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+    assert "scene 00001" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("defect", ["no_scenes", "no_labelled_pixel"])

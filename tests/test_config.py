@@ -140,12 +140,25 @@ def test_tuple_fields_parse_comma_lists():
         ("seed", 2 ** 64),
         # class 8 would be drawn in the background's colour (PALETTE wraps)
         ("num_classes", 9),
+        # scaled scene sides above MAX_SIDE; resizing used to raise a bare
+        # ValueError (1e30) or OverflowError (1e308) on them
+        ("eval_scales", (1e30,)),
+        ("aug_scales", (1e308,)),
     ],
 )
 def test_validation_rejects_bad_settings(field, value):
     cfg = dataclasses.replace(TrainConfig(), **{field: value})
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("key", ["aug_scales", "eval_scales"])
+def test_scaled_scene_side_is_at_most_max_side(key):
+    """Validated only: these sides are never allocated."""
+    cfg = TrainConfig(scene_size=512, aug_scales=(1.0,), eval_scales=(1.0,))
+    dataclasses.replace(cfg, **{key: (0.5, 2.0)}).validate()  # 1024 px
+    with pytest.raises(ConfigError, match=f"{key} times scene_size"):
+        dataclasses.replace(cfg, **{key: (2.5,)}).validate()  # 1280 px
 
 
 def test_large_finite_values_stay_valid():

@@ -500,6 +500,19 @@ def test_dataset_reads_uint8_labels_as_int32_and_keeps_a_float64_image(tmp_path)
     assert np.array_equal(back.image, scene.image)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.01, 1.5])
+def test_dataset_pixel_outside_the_unit_interval_is_a_format_error(tmp_path, value):
+    # such scenes used to be scored: the model reads [0, 1] intensities
+    cfg = TrainConfig(scene_size=8, min_shape=3, max_shape=5)
+    path = str(tmp_path / "data")
+    save_dataset(path, [gen_synthetic_scene(seed, cfg) for seed in (1, 2)])
+    image = gen_synthetic_scene(2, cfg).image.copy()
+    image[1, 4, 5] = value
+    write_cpt(os.path.join(path, "00001.img.cpt"), image)
+    with pytest.raises(FormatError, match="scene 00001 has a pixel outside"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("entry", ["00000 seed=abc", "00000 seed", "00000 key=1",
                                    "00000 seed=1 seed=2", "00000 seed=1 extra"])
 def test_dataset_unparsable_manifest_seed_is_a_format_error(tmp_path, entry):

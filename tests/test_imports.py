@@ -13,7 +13,11 @@ attribute by some module other than ``config.py``: a field nothing reads
 is a setting that changes nothing.  Likewise each defaulted parameter of a
 function or class in the package must be passed by some call of that name
 in the package, ``scripts/`` or ``perfbench/``: a default no caller
-overrides is a constant with extra steps.  Only the scene builders
+overrides is a constant with extra steps.  Each module-level function or
+class of the package, and each non-dunder method, must be named somewhere
+in the package, ``scripts/`` or ``perfbench/``: as a name, an attribute,
+an imported name or a string constant (``perfbench/spans.py`` patches
+functions by name).  Only the scene builders
 (``data.py`` and ``fileio.py``) build a ``LabelMap``: past the scene record,
 labels are plain arrays.
 """
@@ -34,6 +38,13 @@ CALLERS = sorted([*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "scripts").glob(
 # the tests drive the CLI through this parameter
 UNSET_BY_DESIGN = {"cli.py:entry.argv"}
 SCENE_BUILDERS = {"data.py", "fileio.py"}
+# definitions that only a test or a library calls, each with its reader
+UNCALLED_BY_DESIGN = {
+    "affinity.py:IdealAffinityMap.pair_mask": "criterion 7 (test_acceptance.py) reads it",
+    "context_prior.py:macs_spatial_separable": "criterion 4 (test_acceptance.py) reads it",
+    "rng.py:Rng.set_state": "test_rng.py's scalar oracle for bulk_u64 sets lane states",
+    "cli.py:_Parser.error": "argparse calls it on a usage error",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -207,6 +218,69 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     defined = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = [p.read_text() for p in CALLERS]
     assert sorted(set(unset_parameters(defined, callers)) - UNSET_BY_DESIGN) == []
+
+
+def definitions(source: str) -> list[str]:
+    """Qualified names of a module's top-level functions and classes and of
+    its classes' non-dunder methods."""
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            defs += [f"{node.name}.{m.name}" for m in node.body
+                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return defs
+
+
+def uncalled_definitions(defined: dict[str, str], callers: list[str]) -> list[str]:
+    """``file:qualname`` for each definition in ``defined`` (file name ->
+    source) whose name no source in ``callers`` mentions."""
+    named = set()
+    for src in callers:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.alias):
+                named.update(n.name.split("."))
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                named.add(n.value)
+    return sorted(f"{file}:{qual}" for file, src in defined.items()
+                  for qual in definitions(src) if qual.split(".")[-1] not in named)
+
+
+def test_guard_flags_a_definition_nothing_names():
+    defined = (
+        "import os\n\n"
+        "def used():\n    pass\n\n"
+        "def patched():\n    pass\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "def dead():\n    \"\"\"dead is named in this docstring only.\"\"\"\n\n"
+        "class K:\n"
+        "    def __init__(self):\n        self.m = 1\n\n"
+        "    def m(self):\n        pass\n\n"
+        "    def unread(self):\n        def inner():\n            pass\n\n"
+        "class Unused:\n    pass\n"
+    )
+    calls = "from mod import used, K\nPATCH = ('patched', 'x')\nK().m\n"
+    assert uncalled_definitions({"mod.py": defined}, [defined, calls]) == [
+        "mod.py:K.unread", "mod.py:Unused", "mod.py:dead",
+    ]
+    assert uncalled_definitions({"mod.py": defined}, [defined]) == [
+        "mod.py:K", "mod.py:K.unread", "mod.py:Unused", "mod.py:dead", "mod.py:patched",
+        "mod.py:used",
+    ]
+
+
+def test_every_definition_is_named_by_a_caller():
+    defined = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for p in CALLERS]
+    uncalled = uncalled_definitions(defined, callers)
+    assert sorted(set(uncalled) - set(UNCALLED_BY_DESIGN)) == []
+    assert sorted(set(UNCALLED_BY_DESIGN) - set(uncalled)) == []  # no stale exemption
 
 
 def label_map_calls(source: str) -> list[int]:

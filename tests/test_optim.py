@@ -36,7 +36,6 @@ def test_plain_sgd_step():
     opt = SgdMomentum([p], momentum=0.0, weight_decay=0.0)
     opt.step({p: np.array([0.5, 0.25])}, lr=0.1)
     assert np.allclose(p.data, [1.0 - 0.05, -2.0 - 0.025], atol=1e-15)
-    assert opt.step_count == 1
 
 
 def test_momentum_accumulates_past_gradients():

@@ -314,9 +314,9 @@ CONV_CASES = [
     dict(x=(2, 4, 5, 6), w=(6, 2, 1, 1), stride=1, padding=0, dilation=1, groups=2, bias=True),
     dict(x=(1, 3, 5, 5), w=(4, 3, 1, 1), stride=(1, 2), padding=(0, 1), dilation=1, groups=1,
          bias=False),
-    # output rows of 16 px or more scatter dx tap by tap: dilated, strided on
-    # an odd side, and strided along the rows only; `tag` keeps their ids
-    # apart from the narrow cases with the same kernel and stride
+    # wide output rows: dilated, strided on an odd side, and strided along
+    # the rows only; `tag` keeps their ids apart from the narrow cases with
+    # the same kernel and stride
     dict(x=(1, 2, 9, 18), w=(2, 2, 3, 3), stride=1, padding=2, dilation=2, groups=1, bias=True,
          tag="wide"),
     dict(x=(1, 2, 9, 33), w=(2, 2, 3, 3), stride=2, padding=1, dilation=1, groups=1, bias=False,

@@ -20,7 +20,6 @@ from cpnet.train import (
     evaluate,
     load_model,
     model_tensors,
-    predict_labels,
     predict_scene_probs,
     predict_probs,
     save_model,
@@ -163,11 +162,6 @@ def test_single_window_eval_equals_direct_forward():
     direct = predict_probs(model, scene.image, cfg.crop)
     assert np.array_equal(probs, direct)
 
-    labels = predict_labels(model, scene.image, cfg.crop)
-    assert isinstance(labels, np.ndarray)
-    assert labels.shape == scene.image.shape[1:] and labels.dtype == np.int32
-    assert np.array_equal(labels, direct.argmax(axis=0))
-
 
 def test_duplicate_scales_average_to_single_pass():
     cfg = tiny_config()
@@ -232,7 +226,9 @@ def test_multiscale_flip_eval_runs_one_forward_per_scale(monkeypatch):
 
 
 def test_multiscale_flip_eval_equals_one_pass_per_scale_and_flip():
-    """Stacking the flip pair into one forward changes no bit of the average."""
+    """Stacking the flip pair into one forward and resizing its sum once
+    equals separate forwards of the scaled image and its mirror, the mirror's
+    map flipped back and added, and one resize of that sum, bit for bit."""
     cfg = tiny_config(crop=32, scene_size=32)
     model = build_model(cfg)
     image = val_scenes(cfg)[0].image
@@ -241,14 +237,36 @@ def test_multiscale_flip_eval_equals_one_pass_per_scale_and_flip():
     acc = np.zeros((cfg.num_classes,) + image.shape[1:])
     for s in scales:
         scaled = resize_image(image, int(32 * s), int(32 * s)).astype(np.float32)
-        for do_flip in (False, True):
-            inp = np.ascontiguousarray(scaled[:, :, ::-1]) if do_flip else scaled
-            probs = predict_probs(model, inp, cfg.crop)
-            probs = resize_image(probs[:, :, ::-1] if do_flip else probs, 32, 32)
-            probs /= probs.sum(axis=0, keepdims=True)
-            acc += probs
+        probs = predict_probs(model, scaled, cfg.crop)
+        mirror = predict_probs(model, np.ascontiguousarray(scaled[:, :, ::-1]), cfg.crop)
+        acc += resize_image(probs + mirror[:, :, ::-1], 32, 32)
     got = predict_scene_probs(model, image, cfg.crop, scales=scales, flip=True)
     assert np.array_equal(got, acc / (2 * len(scales)))
+    # bilinear rows sum to 1, so the average needs no renormalisation
+    assert np.allclose(got.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+def test_multiscale_flip_eval_resizes_each_flip_pair_once(monkeypatch):
+    import cpnet.train
+
+    cfg = tiny_config(crop=32, scene_size=32)
+    model = build_model(cfg)
+    scene = val_scenes(cfg)[0]
+    shapes = []
+
+    def counted(img, out_h, out_w):
+        shapes.append((img.shape[1:], (out_h, out_w)))
+        return resize_image(img, out_h, out_w)
+
+    monkeypatch.setattr(cpnet.train, "resize_image", counted)
+    predict_scene_probs(model, scene.image, cfg.crop, scales=(2.0, 2.5, 3.0), flip=True)
+    # per scale, the image up and the flip pair's summed probabilities down
+    assert shapes == [((32, 32), (64, 64)), ((64, 64), (32, 32)),
+                      ((32, 32), (80, 80)), ((80, 80), (32, 32)),
+                      ((32, 32), (96, 96)), ((96, 96), (32, 32))]
+    shapes.clear()
+    predict_scene_probs(model, scene.image, cfg.crop, scales=(1.0,), flip=True)
+    assert shapes == []  # a scale that keeps the scene size resizes nothing
 
 
 def test_predict_probs_takes_leading_axes():
@@ -277,7 +295,8 @@ def test_evaluate_matches_manual_confusion_accumulation():
 
     cm = ConfusionMatrix(cfg.num_classes)
     for scene in scenes:
-        cm.update(predict_labels(model, scene.image, cfg.crop), scene.labels.labels)
+        cm.update(predict_scene_probs(model, scene.image, cfg.crop).argmax(axis=0),
+                  scene.labels.labels)
     pa, miou = evaluate(model, scenes, cfg.crop)
     assert pa == cm.pix_acc()
     assert miou == cm.mean_iou()
